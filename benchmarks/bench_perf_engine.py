@@ -9,9 +9,14 @@ Three comparisons, matching the engine's three layers:
    engine (target >= 10x).
 2. The tier-1-scale Fig. 7 variation sweep — sequential ``run_trials``
    vs. trial-batched ``run_trials_batched`` (target >= 3x).
-3. 64 right-hand sides against one programmed one-stage solver —
-   sequential ``PreparedBlockAMC.solve`` loop vs. multi-RHS
-   ``solve_many``.
+3. 64 right-hand sides against one programmed one-stage solver — a
+   loop of scalar oracle solves (``tests/oracles/scalar.py``, the
+   one-vector-at-a-time reference every prepared solve used to run)
+   vs. multi-RHS ``solve_many``.
+
+The noisy-config entries time what a single ``solve`` costs now that it
+is a batch of one on the cached engines: the oracle loop vs. batch-of-1
+solves, and a serving cache miss (programming plus warm-up solve).
 
 Every comparison first asserts numerical equivalence (1e-10) so a
 "speedup" can never come from computing something different.
@@ -20,6 +25,8 @@ Every comparison first asserts numerical equivalence (1e-10) so a
 from __future__ import annotations
 
 import numpy as np
+
+import dataclasses
 
 from benchmarks.conftest import paper_scale
 from benchmarks.perf_harness import PerfReport, time_call
@@ -35,7 +42,9 @@ from repro.crossbar.parasitics import (
     exact_effective_matrix,
     exact_effective_matrix_batch,
 )
+from repro.serve.cache import PreparedKey, prepare_entry
 from repro.workloads.matrices import random_vector, wishart_matrix
+from tests.oracles.scalar import oracle_solve
 
 #: Tier-1-scale sweep shape (the CI-friendly Fig. 7 configuration).
 SWEEP_SIZES = (8, 16, 32)
@@ -63,6 +72,12 @@ MIN_BATCHED_EXACT_SPEEDUP = 1.05
 #: sweep dominates at tier-1 sizes, so the honest floor is near-parity
 #: (the tier's headline win is halved operand memory, not time).
 MIN_F32_TIER_SPEEDUP = 0.7
+#: Noisy n=64 solves: batch-of-1 on the cached engines vs the scalar
+#: oracle loop, and a serving cache miss (program + warm-up solve).
+MIN_BATCH_OF_1_SPEEDUP = 1.5
+MIN_MISS_SPEEDUP = 1.2
+#: Per-operation noise (volts vs a 1 V full scale) of the noisy entries.
+NOISE_V = 2e-4
 
 _report = PerfReport()
 
@@ -168,7 +183,7 @@ def test_solve_many_64rhs(report):
 
     def sequential():
         gen = np.random.default_rng(9)
-        return [prepared.solve(b, gen) for b in rhs]
+        return [oracle_solve(prepared, b, gen) for b in rhs]
 
     def many():
         return prepared.solve_many(rhs, np.random.default_rng(9))
@@ -186,13 +201,13 @@ def test_solve_many_64rhs(report):
         "solve_many_64rhs_32x32",
         old_s,
         new_s,
-        detail="64 RHS on one programmed BlockAMC: solve loop vs solve_many",
+        detail="64 RHS on one programmed BlockAMC: scalar oracle loop vs solve_many",
     )
     report(
         "perf_solve_many",
         format_table(
             ["path", "ms"],
-            [["solve() loop", old_s * 1e3], ["solve_many()", new_s * 1e3]],
+            [["oracle solve loop", old_s * 1e3], ["solve_many()", new_s * 1e3]],
             title=f"64-RHS multi-solve — {speedup:.1f}x",
         ),
     )
@@ -214,7 +229,7 @@ def test_multistage_solve_many_32rhs(report):
 
     def sequential():
         gen = np.random.default_rng(9)
-        return [prepared.solve(b, gen) for b in rhs]
+        return [oracle_solve(prepared, b, gen) for b in rhs]
 
     def many():
         return prepared.solve_many(rhs, np.random.default_rng(9))
@@ -232,7 +247,7 @@ def test_multistage_solve_many_32rhs(report):
         old_s,
         new_s,
         detail=(
-            "32 RHS on one prepared two-stage tree: solve loop vs "
+            "32 RHS on one prepared two-stage tree: scalar oracle loop vs "
             "matrix-valued solve_many (bit-identical asserted)"
         ),
     )
@@ -240,7 +255,7 @@ def test_multistage_solve_many_32rhs(report):
         "perf_multistage_solve_many",
         format_table(
             ["path", "ms"],
-            [["solve() loop", old_s * 1e3], ["solve_many()", new_s * 1e3]],
+            [["oracle solve loop", old_s * 1e3], ["solve_many()", new_s * 1e3]],
             title=f"32-RHS two-stage multi-solve — {speedup:.1f}x",
         ),
     )
@@ -460,6 +475,124 @@ def test_float32_vs_float64_tier(report):
         ),
     )
     assert speedup >= MIN_F32_TIER_SPEEDUP
+
+
+def _noisy_config() -> HardwareConfig:
+    base = HardwareConfig.paper_variation()
+    return base.with_(
+        opamp=dataclasses.replace(base.opamp, output_noise_sigma_v=NOISE_V),
+        sample_hold=dataclasses.replace(base.sample_hold, noise_sigma_v=NOISE_V),
+    )
+
+
+def test_noisy_batch_of_1_64x64(report):
+    """Single noisy solves at n=64: scalar oracle loop vs batch-of-1.
+
+    Per-operation noise keeps every solve one vector at a time, so this
+    is the per-request path of a noisy serving entry. Eight solves on a
+    one-stage and eight on a two-stage solver; the engine answers are
+    bit-identical to the oracle's (asserted on fresh twins first).
+    """
+    config = _noisy_config()
+    matrix = wishart_matrix(64, rng=0)
+    rhs = [random_vector(64, rng=i) for i in range(8)]
+    solvers = (BlockAMCSolver(config), MultiStageSolver(config, stages=2))
+
+    def twins():
+        return [tuple(s.prepare(matrix, rng=5) for _ in range(2)) for s in solvers]
+
+    for for_oracle, for_engine in twins():
+        gen_o, gen_e = np.random.default_rng(9), np.random.default_rng(9)
+        for b in rhs:
+            a = oracle_solve(for_oracle, b, gen_o)
+            e = for_engine.solve(b, gen_e)
+            assert np.array_equal(a.x, e.x)
+            assert a.relative_error == e.relative_error
+
+    oracle_preps, engine_preps = zip(*twins())
+
+    def oracle_loop():
+        gen = np.random.default_rng(9)
+        return [oracle_solve(p, b, gen) for p in oracle_preps for b in rhs]
+
+    def batch_of_1():
+        gen = np.random.default_rng(9)
+        return [p.solve(b, gen) for p in engine_preps for b in rhs]
+
+    old_s = time_call(oracle_loop, repeats=3)
+    new_s = time_call(batch_of_1, repeats=3)
+    speedup = _report.add(
+        "noisy_batch_of_1_64x64",
+        old_s,
+        new_s,
+        detail=(
+            "8 noisy solves each on a one- and a two-stage n=64 solver: "
+            "scalar oracle loop vs solve() as batch-of-1 on the cached "
+            "engines (bit-identical asserted)"
+        ),
+    )
+    report(
+        "perf_noisy_batch_of_1",
+        format_table(
+            ["path", "ms"],
+            [["oracle solve loop", old_s * 1e3], ["batch-of-1 solve()", new_s * 1e3]],
+            title=f"16 noisy n=64 solves — {speedup:.1f}x",
+        ),
+    )
+    assert speedup >= MIN_BATCH_OF_1_SPEEDUP
+
+
+def test_noisy_prepare_entry_miss_64x64(report):
+    """A serving cache miss at n=64, noisy: program + warm-up solve.
+
+    The old miss warmed the entry with a scalar solve; ``prepare_entry``
+    now warms it with a batch-of-1 solve that also builds the cached
+    engine. Both consume the preparation generator identically, so the
+    warmed entries answer the next request bit for bit alike.
+    """
+    config = _noisy_config()
+    matrix = wishart_matrix(64, rng=0)
+    kinds = {
+        "blockamc-1stage": BlockAMCSolver(config),
+        "blockamc-2stage": MultiStageSolver(config, stages=2),
+    }
+
+    def oracle_miss(solver):
+        rng = np.random.default_rng(7)
+        prepared = solver.prepare(matrix, rng)
+        oracle_solve(prepared, np.ones(64), rng)
+        return prepared
+
+    def engine_miss(kind):
+        return prepare_entry(PreparedKey("bench", "noisy", kind, prep_seed=7), matrix, config)
+
+    b = random_vector(64, rng=1)
+    for kind, solver in kinds.items():
+        a = oracle_solve(oracle_miss(solver), b, np.random.default_rng(3))
+        e = engine_miss(kind).prepared.solve(b, np.random.default_rng(3))
+        assert np.array_equal(a.x, e.x)
+
+    old_s = time_call(lambda: [oracle_miss(s) for s in kinds.values()], repeats=3)
+    new_s = time_call(lambda: [engine_miss(k) for k in kinds], repeats=3)
+    speedup = _report.add(
+        "noisy_prepare_entry_miss_64x64",
+        old_s,
+        new_s,
+        detail=(
+            "serving cache miss, one- plus two-stage n=64 noisy entries: "
+            "program + scalar oracle warm-up vs prepare_entry "
+            "(program + batch-of-1 warm-up that builds the engines)"
+        ),
+    )
+    report(
+        "perf_noisy_prepare_miss",
+        format_table(
+            ["path", "ms"],
+            [["program + oracle warm-up", old_s * 1e3], ["prepare_entry", new_s * 1e3]],
+            title=f"noisy n=64 cache miss — {speedup:.1f}x",
+        ),
+    )
+    assert speedup >= MIN_MISS_SPEEDUP
 
 
 def test_write_artifact():

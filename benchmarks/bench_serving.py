@@ -43,6 +43,7 @@ from repro.core.blockamc import BlockAMCSolver
 from repro.core.multistage import MultiStageSolver
 from repro.serve import ServiceConfig, SolverService, run_sequential
 from repro.workloads.traffic import mixed_traffic
+from tests.oracles.scalar import oracle_solve
 
 #: Artifact path (repo root, like BENCH_perf_engine.json).
 DEFAULT_ARTIFACT = _ROOT / "BENCH_serving.json"
@@ -114,12 +115,15 @@ def run_bench(quick: bool = False, out: Path | None = None) -> dict:
     # ------------------------------------------------------------------
     # timing: per-request one-shot loop vs the service
     # ------------------------------------------------------------------
+    def one_shot(solver, request):
+        # Program, then the scalar oracle solve: the one-shot path every
+        # request took before repro.serve existed.
+        rng = np.random.default_rng(request.seed)
+        return oracle_solve(solver.prepare(request.matrix, rng), request.b, rng)
+
     def sequential_loop():
         solver = BlockAMCSolver(hardware)
-        return [
-            solver.solve(r.matrix, r.b, rng=np.random.default_rng(r.seed))
-            for r in requests
-        ]
+        return [one_shot(solver, r) for r in requests]
 
     def service_run():
         with SolverService(config) as svc:
@@ -241,16 +245,13 @@ def run_bench(quick: bool = False, out: Path | None = None) -> dict:
     )
     assert ms_identical, "multi-stage service diverged from the reference"
 
-    one_shot = {
+    solvers = {
         "blockamc-1stage": BlockAMCSolver(hardware),
         "blockamc-2stage": MultiStageSolver(hardware, stages=2),
     }
 
     def ms_sequential_loop():
-        return [
-            one_shot[r.solver].solve(r.matrix, r.b, rng=np.random.default_rng(r.seed))
-            for r in ms_requests
-        ]
+        return [one_shot(solvers[r.solver], r) for r in ms_requests]
 
     def ms_service_run():
         with SolverService(config) as svc:

@@ -26,7 +26,7 @@ from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import ADC, DAC, SampleHold
 from repro.amc.ops import AMCOperations, OpResult
 from repro.amc.scheduler import default_program
-from repro.core.common import contract, solve_columns
+from repro.core.common import contract, factored
 from repro.crossbar.array import CrossbarArray
 from repro.errors import SolverError
 from repro.utils.rng import as_generator
@@ -121,10 +121,10 @@ class MacroResult:
 
 
 def reference_schedule(
-    a1: np.ndarray,
+    a1,
     a2: np.ndarray,
     a3: np.ndarray,
-    a4s_normalized: np.ndarray,
+    a4s_normalized,
     f: np.ndarray,
     g: np.ndarray,
 ) -> dict[str, np.ndarray]:
@@ -133,16 +133,18 @@ def reference_schedule(
     Shape-generic over the kernel conventions: ``f``/``g`` may be single
     vectors or row-stacked ``(rhs, n)`` batches, and the batch results
     are bit-identical per row to the scalar calls (solves go one column
-    at a time through :func:`repro.core.common.solve_columns`,
+    at a time through :class:`repro.core.common.FactoredSystem`,
     contractions through :func:`repro.core.common.contract`).
     ``a4s_normalized`` is the Schur block *after* undoing its private
-    array scale (``A4s / schur_input_scale``).
+    array scale (``A4s / schur_input_scale``). The two solved blocks may
+    be passed pre-factored (an engine factors them once, not per call).
     """
-    y_t = solve_columns(a1, f, what="A1 block")
+    a1 = factored(a1, what="A1 block")
+    y_t = a1.solve(f)
     g_t = contract(a3, y_t)
-    z = solve_columns(a4s_normalized, g - g_t, what="Schur block")
+    z = factored(a4s_normalized, what="Schur block").solve(g - g_t)
     f_t = contract(a2, z)
-    y = solve_columns(a1, f - f_t, what="A1 block")
+    y = a1.solve(f - f_t)
     return {
         "step1": -y_t,
         "step2": g_t,

@@ -44,6 +44,8 @@ from repro.amc.interfaces import quantize_voltages
 from repro.circuits.dynamics import DEFAULT_EPSILON
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.common import (
+    LazyOffsets,
+    NoiseDraws,
     auto_range_many,
     draw_offsets_batch,
     input_voltage_scale_many,
@@ -84,7 +86,8 @@ def is_batchable_config(config: HardwareConfig) -> bool:
     Output-referred op-amp noise and sample-and-hold noise are covered:
     the batched path draws them per trial, per operation, per ranging
     attempt from each trial's own generator in schedule order — the
-    exact stream the scalar path consumes (see ``_NoiseDraws``).
+    exact stream the scalar path consumes (see
+    :class:`repro.core.common.NoiseDraws`).
     """
     programming = config.programming
     return (
@@ -232,83 +235,6 @@ class _ArrayBatch:
 _quantize_batch = quantize_voltages
 
 
-class _NoiseDraws:
-    """Per-trial fresh-noise draws in exact scalar stream order.
-
-    The scalar path draws output-referred op-amp noise after every
-    operation and sample-and-hold noise after every buffer transfer —
-    fresh on each gain-ranging attempt, from the trial's own generator.
-    These helpers replay that consumption for the *active* trial subset
-    only (rescaled trials redraw, settled trials' generators stay
-    untouched), which is what keeps the batched engine bit-identical to
-    per-trial scalar ranging loops.
-    """
-
-    def __init__(self, rngs, config: HardwareConfig):
-        self.rngs = rngs
-        self.output_sigma = config.opamp.output_noise_sigma_v
-        self.snh_sigma = config.sample_hold.noise_sigma_v
-        self.snh_gain = 1.0 + config.sample_hold.gain_error
-
-    def _rows(self, indices, sigma: float, size: int) -> np.ndarray:
-        out = np.empty((len(indices), size))
-        for j, t in enumerate(indices):
-            out[j] = self.rngs[t].normal(0.0, sigma, size=size)
-        return out
-
-    def output(self, indices, raw: np.ndarray) -> np.ndarray:
-        """Add per-operation output noise (scalar ``_add_output_noise``).
-
-        Draws stay float64 (identical streams across precision tiers);
-        the sum is cast back to the operating dtype (no-op on float64).
-        """
-        if self.output_sigma == 0.0:
-            return raw
-        noisy = raw + self._rows(indices, self.output_sigma, raw.shape[1])
-        return noisy.astype(raw.dtype, copy=False)
-
-    def snh_pair(self, indices, voltages: np.ndarray) -> np.ndarray:
-        """Two S&H transfers (output bank then input bank), with noise.
-
-        Noise-free this is exactly :func:`repro.core.common.snh_cascade`
-        (two successive gain products); with noise each transfer adds
-        its own fresh draw, like the two scalar ``SampleHold`` stages.
-        """
-        held = voltages * self.snh_gain
-        if self.snh_sigma > 0.0:
-            held = held + self._rows(indices, self.snh_sigma, held.shape[1])
-        held = held * self.snh_gain
-        if self.snh_sigma > 0.0:
-            held = held + self._rows(indices, self.snh_sigma, held.shape[1])
-        return held.astype(voltages.dtype, copy=False)
-
-
-class _LazyOffsets:
-    """Offset columns drawn at first use, like the scalar schedule.
-
-    The scalar ``AMCOperations`` draws one offset column per distinct
-    size at that size's *first operation* and caches it for the rest of
-    the trial — and with per-operation noise enabled, noise draws from
-    the same generator interleave between those first uses. Drawing
-    lazily (size ``k`` at step 1, size ``m`` at step 2) therefore keeps
-    every trial's stream in scalar order whether or not noise is on.
-    The first ranging attempt covers all trials, so each size's draw
-    happens exactly once per trial.
-    """
-
-    def __init__(self, sigma: float, rngs):
-        self.sigma = sigma
-        self.rngs = rngs
-        self._by_size: dict[int, np.ndarray | None] = {}
-
-    def take(self, size: int, indices) -> np.ndarray | None:
-        if size not in self._by_size:
-            self._by_size[size] = draw_offsets_batch(self.sigma, [size], self.rngs)[
-                size
-            ]
-        return _take(self._by_size[size], indices)
-
-
 class _OpAccumulator:
     """Per-trial step telemetry (peaks, saturation flags, settle sums).
 
@@ -334,6 +260,16 @@ class _OpAccumulator:
         self.saturated[indices] |= clipped
         self.settle[indices] = self.settle[indices] + settle
         return out
+
+
+def _per_trial_offsets(sigma: float, rngs) -> LazyOffsets:
+    """Each trial's own offset columns, drawn from its generator at first use.
+
+    The first ranging attempt covers all trials, so each size's draw
+    happens exactly once per trial, at the stream position where the
+    scalar schedule first uses that column size.
+    """
+    return LazyOffsets(lambda size: draw_offsets_batch(sigma, [size], rngs)[size])
 
 
 def _relative_errors(
@@ -366,8 +302,8 @@ class _BatchedOriginalAMC:
         trials, n = bs.shape
         normalized, scale = _normalize_batch(matrices)
         array = _ArrayBatch(normalized, config, rngs)
-        offsets = _LazyOffsets(config.opamp.input_offset_sigma_v, rngs)
-        noise = _NoiseDraws(rngs, config)
+        offsets = _per_trial_offsets(config.opamp.input_offset_sigma_v, rngs)
+        noise = NoiseDraws(rngs, config)
         inv_settle = array.inv_settle()
 
         conv = config.converters
@@ -447,8 +383,8 @@ class _BatchedBlockAMC:
         # Offsets draw lazily in first-use order — step 1 (size k),
         # step 2 (size m) — so per-operation noise draws interleave at
         # the same stream positions as the scalar schedule.
-        offsets = _LazyOffsets(config.opamp.input_offset_sigma_v, rngs)
-        noise = _NoiseDraws(rngs, config)
+        offsets = _per_trial_offsets(config.opamp.input_offset_sigma_v, rngs)
+        noise = NoiseDraws(rngs, config)
 
         settle1 = arr1.inv_settle()
         settle2 = arr3.mvm_settle()
@@ -475,6 +411,8 @@ class _BatchedBlockAMC:
             a1, a2, a3, a4s = view(arr1), view(arr2), view(arr3), view(arr4s)
             # Stream order per trial matches the scalar schedule exactly:
             # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
+            # Every op input is cast to the tier like the scalar ops do
+            # (noisy S&H hands back float64 there too).
             off_k = cast(offsets.take(k_size, indices))
             s1 = acc.add_for(
                 indices,
@@ -490,7 +428,7 @@ class _BatchedBlockAMC:
                 indices,
                 noise.output(
                     indices,
-                    mvm_raw(a3.effective, a3.load_row_sums, h1, off_m, a0),
+                    mvm_raw(a3.effective, a3.load_row_sums, cast(h1), off_m, a0),
                 ),
                 settle2[indices],
             )
@@ -502,7 +440,7 @@ class _BatchedBlockAMC:
                     inv_raw(
                         a4s.effective,
                         a4s.load_row_sums,
-                        h2 - v_g,
+                        cast(h2 - v_g),
                         off_m,
                         schur_input_scale[indices],
                         a0,
@@ -515,7 +453,7 @@ class _BatchedBlockAMC:
                 indices,
                 noise.output(
                     indices,
-                    mvm_raw(a2.effective, a2.load_row_sums, h3, off_k, a0),
+                    mvm_raw(a2.effective, a2.load_row_sums, cast(h3), off_k, a0),
                 ),
                 settle4[indices],
             )
@@ -524,7 +462,9 @@ class _BatchedBlockAMC:
                 indices,
                 noise.output(
                     indices,
-                    inv_raw(a1.effective, a1.load_row_sums, v_f + h4, off_k, 1.0, a0),
+                    inv_raw(
+                        a1.effective, a1.load_row_sums, cast(v_f + h4), off_k, 1.0, a0
+                    ),
                 ),
                 settle1[indices],
             )
@@ -557,7 +497,3 @@ class _ArrayView:
     def __init__(self, array: _ArrayBatch, indices: np.ndarray):
         self.effective = array.effective[indices]
         self.load_row_sums = array.load_row_sums[indices]
-
-
-def _take(values: np.ndarray | None, indices: np.ndarray) -> np.ndarray | None:
-    return None if values is None else values[indices]

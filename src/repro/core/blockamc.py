@@ -25,28 +25,28 @@ import numpy as np
 from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import quantize_voltages
 from repro.amc.macro import BlockAMCMacro, reference_schedule
-from repro.amc.ops import OpResult
-from repro.circuits.dynamics import mvm_settling_time
+from repro.amc.ops import AMCOperations, OpResult
 from repro.amc.scheduler import ScheduleResult, simulate_schedule
+from repro.circuits.dynamics import mvm_settling_time
 from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
     FactoredSystem,
-    auto_range,
+    LazyOffsets,
+    NoiseDraws,
     auto_range_many,
     ideal_inv,
     ideal_mvm,
-    input_voltage_scale,
     input_voltage_scale_many,
     inv_loading,
     inv_rhs,
     inv_system,
     mvm_raw,
     saturate,
-    snh_cascade,
     solve_columns,
 )
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
 from repro.core.solution import LeanSolveResult, SolveResult
+from repro.crossbar.array import CrossbarArray
 from repro.crossbar.mapping import normalize_matrix
 from repro.errors import ValidationError
 from repro.utils.rng import as_generator
@@ -56,19 +56,19 @@ from repro.utils.validation import check_square_matrix, check_vector
 def has_per_operation_randomness(config: HardwareConfig) -> bool:
     """True when a configuration draws fresh randomness per analog op.
 
-    MNA routing, op-amp output noise, and sample-and-hold noise all
-    consume the generator once per operation (and per gain-ranging
-    attempt), so a single batched pass cannot replay the sequential
-    stream. This is the **single** predicate behind every multi-RHS
-    batching decision: :meth:`PreparedBlockAMC.solve_many` and
-    :meth:`~repro.core.multistage.PreparedMultiStage.solve_many` fall
-    back to the sequential loop when it holds, and the serve layer
-    (:mod:`repro.serve.cache`) refuses to coalesce such entries — keep
-    the three sites in agreement by keeping them on this function.
+    Op-amp output noise and sample-and-hold noise consume the generator
+    once per operation (and per gain-ranging attempt). With one shared
+    generator, a batch must therefore run column by column to replay
+    the sequential stream: :meth:`PreparedBlockAMC.solve_many` and
+    :meth:`~repro.core.multistage.PreparedMultiStage.solve_many` then
+    run the cached engines batch-of-1 per right-hand side, and the
+    serve layer (:mod:`repro.serve.cache`) does not coalesce such
+    entries. MNA routing draws nothing per operation (its quasi-static
+    offsets are drawn once, like the algebraic path's), so it batches.
+    Keep these sites in agreement by keeping them on this function.
     """
     return (
-        config.use_mna
-        or config.opamp.output_noise_sigma_v > 0.0
+        config.opamp.output_noise_sigma_v > 0.0
         or config.sample_hold.noise_sigma_v > 0.0
     )
 
@@ -93,6 +93,22 @@ class BatchedOpSpec:
     cols: int
     device_count: int
 
+    @classmethod
+    def from_stage(cls, label: str, stage, outputs, inputs, saturated) -> "BatchedOpSpec":
+        """One stage's accepted outputs; ideal outputs from its ``inputs``."""
+        rows, cols = stage.array.shape
+        return cls(
+            label=label,
+            kind=stage.kind,
+            outputs=outputs,
+            ideal=stage.ideal(inputs),
+            settling_time_s=stage.settle,
+            saturated=saturated,
+            rows=rows,
+            cols=cols,
+            device_count=stage.array.device_count,
+        )
+
     def op_result(self, c: int) -> OpResult:
         """The column-``c`` slice as a scalar-shaped :class:`OpResult`."""
         return OpResult(
@@ -109,135 +125,230 @@ class BatchedOpSpec:
         )
 
 
+class _Stage:
+    """One programmed array's batch-invariant state for row-stacked ops.
+
+    The multi-RHS form of one :class:`~repro.amc.ops.AMCOperations` op:
+    :meth:`op` runs it on the active columns in the scalar op's order —
+    node equations (or, with MNA routing, each column's netlist solve
+    through the ops' assembled-system cache), then the fresh
+    output-noise draw, then saturation.
+    """
+
+    kind = ""
+
+    def __init__(self, ops: AMCOperations, array: CrossbarArray):
+        config = ops.config
+        self.ops, self.array = ops, array
+        self.mna = config.use_mna
+        self.cast = config.resolve_backend().cast
+        self.v_sat = config.opamp.v_sat
+
+    def raw(self, v_in: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+        """Pre-noise, pre-saturation outputs for row-stacked inputs."""
+        raise NotImplementedError
+
+    def per_column(self, solve, v_in: np.ndarray) -> np.ndarray:
+        """MNA routing: ``solve(array, v)`` per column, at float64."""
+        return np.stack([solve(self.array, v) for v in np.asarray(v_in, dtype=np.float64)])
+
+    def op(self, v_in, offsets, noise: NoiseDraws, indices):
+        """``(outputs, saturated)`` of one operation on the active columns."""
+        return saturate(noise.output(indices, self.raw(v_in, offsets)), self.v_sat)
+
+
+class InvStage(_Stage):
+    """An INV array: settling analysis and finite-gain system, factored once.
+
+    The system ``M + diag(s + L) / A0`` is factored once and
+    back-substituted per column, so each column is bit-identical to a
+    scalar op; the ideal matrix is factored on first need (for the
+    perfect-circuit outputs) and kept.
+    """
+
+    kind = "inv"
+
+    def __init__(self, ops: AMCOperations, array: CrossbarArray, input_scale: float = 1.0):
+        super().__init__(ops, array)
+        self.input_scale = input_scale
+        config = ops.config
+        effective = array.effective_matrix(config.parasitics)
+        # Settling runs on the float64 matrix: timing is tier-independent.
+        self.settle = ops._inv_settle(effective)
+        self._ideal_system: FactoredSystem | None = None
+        if not self.mna:
+            self.loading = inv_loading(self.cast(array.load_row_sums()), input_scale)
+            self.system = FactoredSystem(
+                inv_system(self.cast(effective), self.loading, config.opamp.open_loop_gain)
+            )
+
+    def raw(self, v_in, offsets):
+        if self.mna:
+            return self.per_column(
+                lambda array, v: self.ops._inv_mna(array, v, self.input_scale, offsets),
+                v_in,
+            )
+        rhs = inv_rhs(self.cast(v_in), self.loading, self.cast(offsets), self.input_scale)
+        return self.system.solve(rhs)
+
+    @property
+    def ideal_system(self) -> FactoredSystem:
+        """The ideal matrix, factored once on first use."""
+        if self._ideal_system is None:
+            self._ideal_system = FactoredSystem(
+                self.ops._ideal_matrix(self.array), what="ideal block matrix"
+            )
+        return self._ideal_system
+
+    def ideal(self, v_in: np.ndarray) -> np.ndarray:
+        """Perfect-circuit outputs for inputs as the scalar op sees them (float64)."""
+        return ideal_inv(self.ideal_system, np.asarray(v_in, dtype=np.float64), self.input_scale)
+
+
+class MvmStage(_Stage):
+    """An MVM array: effective matrix, row loads, and settling analysis."""
+
+    kind = "mvm"
+
+    def __init__(self, ops: AMCOperations, array: CrossbarArray):
+        super().__init__(ops, array)
+        config = ops.config
+        self.a0 = config.opamp.open_loop_gain
+        if not self.mna:
+            self.effective = self.cast(array.effective_matrix(config.parasitics))
+            self.loads = self.cast(array.load_row_sums())
+        self.settle = mvm_settling_time(
+            np.asarray(array.g_pos) + np.asarray(array.g_neg),
+            array.g_unit,
+            config.opamp.gbwp_hz,
+        )
+
+    def raw(self, v_in, offsets):
+        if self.mna:
+            return self.per_column(
+                lambda array, v: self.ops._mvm_mna(array, v, offsets), v_in
+            )
+        return mvm_raw(self.effective, self.loads, self.cast(v_in), self.cast(offsets), self.a0)
+
+    @property
+    def ideal_matrix(self) -> np.ndarray:
+        """The normalized target matrix (cheap to rebuild; not held)."""
+        return self.ops._ideal_matrix(self.array)
+
+    def ideal(self, v_in: np.ndarray) -> np.ndarray:
+        """Perfect-circuit outputs for inputs as the scalar op sees them (float64)."""
+        return ideal_mvm(self.ideal_matrix, np.asarray(v_in, dtype=np.float64))
+
+
+def macro_offsets(ops: AMCOperations, rngs) -> LazyOffsets:
+    """A programmed column's quasi-static offsets, drawn at first use.
+
+    They live in ``ops``' own cache (one physical op-amp column, shared
+    by every right-hand side and every later batch). The first ranging
+    attempt covers every column, so column 0's generator draws them at
+    the stream position a scalar solve of that column would.
+    """
+    return LazyOffsets(lambda size: ops._draw_offsets(size, rngs[0]))
+
+
 class BatchedFiveStep:
     """The five-step schedule with matrix-valued intermediates.
 
     Bound to one programmed :class:`~repro.amc.macro.BlockAMCMacro`,
     this engine holds everything batch-invariant about the schedule —
-    effective matrices, the two INV-system factorizations (factor once,
-    per-column ``getrs``), the settling analysis, and the quasi-static
-    op-amp offsets (drawn through the macro's own offset cache in exact
-    scalar stream order) — and executes a whole ``(batch, n)`` block of
+    the four arrays' :class:`InvStage`/:class:`MvmStage` state
+    (effective matrices, INV factorizations, settling analysis, ideal
+    factorizations) — and executes a whole ``(batch, n)`` block of
     right-hand sides per :meth:`run` call, gain-ranging each column
-    independently. Every step goes through the shared kernel of
+    independently. Quasi-static op-amp offsets come from the macro's
+    own cache, drawn at first use; output and S&H noise are drawn per
+    active column and per ranging attempt from that column's generator.
+    Every step goes through the shared kernel of
     :mod:`repro.core.common`, so column ``c`` of a batch is bit-identical
-    to a scalar :meth:`BlockAMCMacro.solve` of the same vector.
+    to a scalar :meth:`BlockAMCMacro.solve` of the same vector with
+    ``rngs[c]``.
 
-    Both multi-RHS consumers delegate here:
-    :meth:`PreparedBlockAMC.solve_many` and the multi-stage solver's
-    macro nodes (:mod:`repro.core.multistage`).
+    Every prepared solve delegates here: :meth:`PreparedBlockAMC.solve`
+    and ``solve_many``, and the multi-stage solver's macro nodes
+    (:mod:`repro.core.multistage`).
     """
 
-    def __init__(self, macro: BlockAMCMacro, rng):
+    def __init__(self, macro: BlockAMCMacro):
         self.macro = macro
-        config = macro.config
+        self.config = macro.config
         arrays = macro.arrays
-        ops = macro.ops
-        par = config.parasitics
-        a1, a2, a3, a4s = arrays.a1, arrays.a2, arrays.a3, arrays.a4s
-        self.eff1 = a1.effective_matrix(par)
-        self.eff2 = a2.effective_matrix(par)
-        self.eff3 = a3.effective_matrix(par)
-        self.eff4 = a4s.effective_matrix(par)
-        self.load2, self.load3 = a2.load_row_sums(), a3.load_row_sums()
-        load1, load4 = a1.load_row_sums(), a4s.load_row_sums()
-        self.id1, self.id2 = ops._ideal_matrix(a1), ops._ideal_matrix(a2)
-        self.id3, self.id4 = ops._ideal_matrix(a3), ops._ideal_matrix(a4s)
-        # Offsets draw per column size on first use, exactly like the
-        # scalar schedule's step 1 (upper) then step 2 (lower).
-        self.off_k = ops._draw_offsets(arrays.upper_size, rng)
-        self.off_m = ops._draw_offsets(arrays.lower_size, rng)
+        self.ops = ops = macro.ops
+        self.inv1 = InvStage(ops, arrays.a1)
+        self.mvm3 = MvmStage(ops, arrays.a3)
+        self.inv4 = InvStage(ops, arrays.a4s, arrays.schur_input_scale)
+        self.mvm2 = MvmStage(ops, arrays.a2)
+        #: (label, stage) of steps 1..5, in schedule order.
+        self.steps = (
+            ("step1:INV(A1)", self.inv1),
+            ("step2:MVM(A3)", self.mvm3),
+            ("step3:INV(A4s)", self.inv4),
+            ("step4:MVM(A2)", self.mvm2),
+            ("step5:INV(A1)", self.inv1),
+        )
         self.split = arrays.upper_size
+        self.lower = arrays.lower_size
         self.s_in = arrays.schur_input_scale
-        self.a0 = config.opamp.open_loop_gain
-        self.v_sat = config.opamp.v_sat
-        self.conv = config.converters
-        self.snh_error = config.sample_hold.gain_error
-        gbwp = config.opamp.gbwp_hz
-        self.settle = {
-            1: ops._inv_settle(self.eff1),
-            2: mvm_settling_time(
-                np.asarray(a3.g_pos) + np.asarray(a3.g_neg), a3.g_unit, gbwp
-            ),
-            3: ops._inv_settle(self.eff4),
-            4: mvm_settling_time(
-                np.asarray(a2.g_pos) + np.asarray(a2.g_neg), a2.g_unit, gbwp
-            ),
-        }
-        self.settle[5] = self.settle[1]
-        # Cast the batch-invariant analog state to the backend tier —
-        # a same-object pass-through on the default float64 backend.
-        # The settling analysis above already ran on the float64
-        # matrices, so timing metadata is tier-independent.
-        bk = config.resolve_backend()
-        self.backend = bk
-        self.eff1, self.eff2 = bk.cast(self.eff1), bk.cast(self.eff2)
-        self.eff3, self.eff4 = bk.cast(self.eff3), bk.cast(self.eff4)
-        self.load2, self.load3 = bk.cast(self.load2), bk.cast(self.load3)
-        load1, load4 = bk.cast(load1), bk.cast(load4)
-        self.off_k, self.off_m = bk.cast(self.off_k), bk.cast(self.off_m)
-        # One INV stage each for A1 (steps 1/5) and A4s (step 3): the
-        # finite-gain system is assembled and LU-factored once for the
-        # whole batch; back-substitution happens per column, so results
-        # stay bit-identical to per-RHS scalar solves.
-        self.loading1 = inv_loading(load1, 1.0)
-        self.loading4 = inv_loading(load4, self.s_in)
-        self.fact1 = FactoredSystem(inv_system(self.eff1, self.loading1, self.a0))
-        self.fact4 = FactoredSystem(inv_system(self.eff4, self.loading4, self.a0))
+        self.conv = self.config.converters
+        self.backend = self.config.resolve_backend()
+        self._schur_reference: FactoredSystem | None = None
 
     def digitize(self, voltages: np.ndarray) -> np.ndarray:
         """ADC model (the shared shape-generic converter)."""
         return quantize_voltages(voltages, self.conv.adc_bits, self.conv.v_fs)
 
-    def run(self, bs: np.ndarray, input_fraction: float):
+    def run(self, bs: np.ndarray, input_fraction: float, rngs):
         """Execute the schedule for row-stacked ``bs``; gain-range per column.
 
+        ``rngs[c]`` is column ``c``'s generator (per-operation noise
+        draws; column 0's also draws any offsets not yet drawn).
         Returns ``(final, final_k)`` from
         :func:`repro.core.common.auto_range_many`: the accepted step
         outputs/inputs (``s1``..``s5``, ``in1``..``in5``, ``f``, ``g``,
         ``sat``) and the accepted per-column input scales.
         """
-        v_fs = self.conv.v_fs
+        v_fs, dac_bits = self.conv.v_fs, self.conv.dac_bits
         split = self.split
-        fact1, fact4 = self.fact1, self.fact4
-        loading1, loading4 = self.loading1, self.loading4
-        off_k, off_m = self.off_k, self.off_m
-        v_sat, a0, snh_error = self.v_sat, self.a0, self.snh_error
         cast = self.backend.cast
-
-        def inv_step(fact, loading, off, v_in, input_scale):
-            return saturate(fact.solve(inv_rhs(v_in, loading, off, input_scale)), v_sat)
-
-        def mvm_step(eff, load, off, v_in):
-            return saturate(mvm_raw(eff, load, v_in, off, a0), v_sat)
-
-        def quantize(v, bits):
-            # Shared shape-generic converter model (amc.interfaces).
-            return quantize_voltages(v, bits, v_fs)
+        noise = NoiseDraws(rngs, self.config)
+        offsets = macro_offsets(self.ops, rngs)
 
         def run_subset(k, indices):
+            def op(stage, v_in, off):
+                return stage.op(v_in, off, noise, indices)
+
             f = k[:, None] * bs[indices, :split]
             g = k[:, None] * bs[indices, split:]
             # DAC outputs enter the analog tier: cast to backend dtype
             # (identity on float64). ``f``/``g`` stay float64 for the
             # exact per-step references.
-            v_f = cast(quantize(f, self.conv.dac_bits))
-            v_g = cast(quantize(g, self.conv.dac_bits))
-            s1, sat1 = inv_step(fact1, loading1, off_k, v_f, 1.0)
-            h1 = snh_cascade(s1, snh_error)
-            s2, sat2 = mvm_step(self.eff3, self.load3, off_m, h1)
-            h2 = snh_cascade(s2, snh_error)
-            s3, sat3 = inv_step(fact4, loading4, off_m, h2 - v_g, self.s_in)
-            h3 = snh_cascade(s3, snh_error)
-            s4, sat4 = mvm_step(self.eff2, self.load2, off_k, h3)
-            h4 = snh_cascade(s4, snh_error)
-            s5, sat5 = inv_step(fact1, loading1, off_k, v_f + h4, 1.0)
+            v_f = cast(quantize_voltages(f, dac_bits, v_fs))
+            v_g = cast(quantize_voltages(g, dac_bits, v_fs))
+            # Stream order per column matches the scalar schedule:
+            # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
+            off_k = offsets.take(split, indices)
+            s1, sat1 = op(self.inv1, v_f, off_k)
+            h1 = noise.snh_pair(indices, s1)
+            off_m = offsets.take(self.lower, indices)
+            s2, sat2 = op(self.mvm3, h1, off_m)
+            h2 = noise.snh_pair(indices, s2)
+            in3 = h2 - v_g
+            s3, sat3 = op(self.inv4, in3, off_m)
+            h3 = noise.snh_pair(indices, s3)
+            s4, sat4 = op(self.mvm2, h3, off_k)
+            h4 = noise.snh_pair(indices, s4)
+            in5 = v_f + h4
+            s5, sat5 = op(self.inv1, in5, off_k)
             outs = np.concatenate([s1, s2, s3, s4, s5], axis=1)
             peaks = np.max(np.abs(outs), axis=1)
             payload = {
                 "s1": s1, "s2": s2, "s3": s3, "s4": s4, "s5": s5,
-                "in1": v_f, "in2": h1, "in3": h2 - v_g, "in4": h3,
-                "in5": v_f + h4, "f": f, "g": g,
+                "in1": v_f, "in2": h1, "in3": in3, "in4": h3, "in5": in5,
+                "f": f, "g": g,
                 "sat": np.stack([sat1, sat2, sat3, sat4, sat5], axis=1),
             }
             return peaks, payload
@@ -245,37 +356,65 @@ class BatchedFiveStep:
         k0 = input_voltage_scale_many(bs, v_fs, input_fraction)
         return auto_range_many(run_subset, k0, v_fs)
 
+    def solution(self, final: dict, final_k: np.ndarray, scale: float) -> np.ndarray:
+        """Digital solutions ``x`` of the accepted attempt, row-stacked.
+
+        The divisor takes the outputs' dtype, like the scalar
+        ``solution / (k * scale)`` whose Python float adopts it.
+        """
+        solution = np.concatenate(
+            [-self.digitize(final["s5"]), self.digitize(final["s3"])], axis=1
+        )
+        return solution / (final_k * scale).astype(solution.dtype, copy=False)[:, None]
+
+    def reference(self, final: dict) -> dict[str, np.ndarray]:
+        """Exact-arithmetic per-step references (Fig. 6a curves), batched."""
+        if self._schur_reference is None:
+            self._schur_reference = FactoredSystem(
+                self.ops._ideal_matrix(self.inv4.array) / self.s_in,
+                what="Schur block",
+            )
+        return reference_schedule(
+            self.inv1.ideal_system, self.mvm2.ideal_matrix, self.mvm3.ideal_matrix,
+            self._schur_reference, final["f"], final["g"],
+        )
+
     def step_specs(self, final: dict) -> tuple[BatchedOpSpec, ...]:
         """Per-step batched telemetry for the accepted attempt.
 
         Ideal (perfect-circuit) outputs are computed from the accepted
         inputs, exactly as the scalar ops record them.
         """
-        arrays = self.macro.arrays
-        a1, a2, a3, a4s = arrays.a1, arrays.a2, arrays.a3, arrays.a4s
         sat = final["sat"]
-        steps = (
-            ("step1:INV(A1)", "inv", "s1", ideal_inv(self.id1, final["in1"]), 1, a1),
-            ("step2:MVM(A3)", "mvm", "s2", ideal_mvm(self.id3, final["in2"]), 2, a3),
-            ("step3:INV(A4s)", "inv", "s3",
-             ideal_inv(self.id4, final["in3"], self.s_in), 3, a4s),
-            ("step4:MVM(A2)", "mvm", "s4", ideal_mvm(self.id2, final["in4"]), 4, a2),
-            ("step5:INV(A1)", "inv", "s5", ideal_inv(self.id1, final["in5"]), 5, a1),
-        )
         return tuple(
-            BatchedOpSpec(
-                label=label,
-                kind=kind,
-                outputs=final[out_key],
-                ideal=ideal,
-                settling_time_s=self.settle[num],
-                saturated=sat[:, num - 1],
-                rows=array.shape[0],
-                cols=array.shape[1],
-                device_count=array.device_count,
+            BatchedOpSpec.from_stage(
+                label, stage, final[f"s{num}"], final[f"in{num}"], sat[:, num - 1]
             )
-            for label, kind, out_key, ideal, num, array in steps
+            for num, (label, stage) in enumerate(self.steps, start=1)
         )
+
+
+def solve_in_blocks(solve_block, rhs_batch, n: int, config, rng, lean: bool) -> tuple:
+    """The shared front half of the prepared solvers' ``solve_many``.
+
+    Validates the right-hand sides, then runs ``solve_block(bs, rngs,
+    lean)`` once over the whole batch — or, when the configuration
+    draws per-operation noise from the one shared generator, once per
+    right-hand side (batch-of-1 on the same cached engines), which is
+    what keeps the stream in sequential-loop order.
+    """
+    rhs_list = [np.asarray(b, dtype=float) for b in rhs_batch]
+    if not rhs_list:
+        raise ValidationError("rhs_batch must contain at least one vector")
+    bs = np.stack([check_vector(b, "b", size=n) for b in rhs_list])
+    rng = as_generator(rng)
+    if has_per_operation_randomness(config):
+        return tuple(
+            result
+            for c in range(len(bs))
+            for result in solve_block(bs[c : c + 1], [rng], lean)
+        )
+    return solve_block(bs, [rng] * len(bs), lean)
 
 
 @dataclass(frozen=True)
@@ -289,51 +428,30 @@ class PreparedBlockAMC:
     schur_scale: float
     input_fraction: float
 
+    @property
+    def _engine(self) -> BatchedFiveStep:
+        """The macro's five-step engine, built on first use and cached.
+
+        Pure derived state (stored outside the frozen fields): offsets
+        live in the macro's own quasi-static cache, so caching the
+        engine changes no random stream.
+        """
+        engine = self.__dict__.get("_five_step")
+        if engine is None:
+            engine = BatchedFiveStep(self.macro)
+            object.__setattr__(self, "_five_step", engine)
+        return engine
+
     def solve(self, b: np.ndarray, rng=None) -> SolveResult:
         """Solve ``A x = b`` for a new right-hand side on the programmed arrays.
 
-        Uses analog gain ranging: if any step's output approaches the
-        converter full scale, the input scale is reduced and the analog
-        pipeline rerun (see :func:`repro.core.common.auto_range`).
+        Exactly ``solve_many([b], rng)[0]``: a batch of one on the cached
+        engine. Uses analog gain ranging: if any step's output approaches
+        the converter full scale, the input scale is reduced and the
+        analog pipeline rerun (see :func:`repro.core.common.auto_range`).
         """
-        n = self.matrix.shape[0]
-        b = check_vector(b, "b", size=n)
-        rng = as_generator(rng)
-        v_fs = self.macro.config.converters.v_fs
-
-        def run(k):
-            v_b = k * b
-            result = self.macro.solve(v_b[: self.split], v_b[self.split :], rng)
-            peak = max(float(np.max(np.abs(step.output))) for step in result.steps)
-            return peak, result
-
-        k0 = input_voltage_scale(b, v_fs, self.input_fraction)
-        macro_result, k = auto_range(run, k0, v_fs)
-        x = macro_result.solution / (k * self.scale)
-
-        reference = solve_columns(self.matrix, b, what="system matrix")
-        return SolveResult(
-            x=x,
-            reference=reference,
-            solver="blockamc-1stage",
-            operations=macro_result.steps,
-            metadata={
-                "scale": self.scale,
-                "input_scale": k,
-                "split": self.split,
-                "schur_scale": self.schur_scale,
-                "opa_count": self.macro.opa_count,
-                "dac_count": self.macro.dac_count,
-                "adc_count": self.macro.adc_count,
-                "device_count": self.macro.device_count,
-                "dac_conversions": 2,
-                "adc_conversions": 2,
-                "reference_steps": macro_result.reference_steps,
-                "step_outputs": {
-                    step.label: step.output for step in macro_result.steps
-                },
-            },
-        )
+        b = check_vector(b, "b", size=self.matrix.shape[0])
+        return self.solve_many([b], rng)[0]
 
     def solve_many(
         self, rhs_batch, rng=None, *, lean: bool = False
@@ -343,21 +461,20 @@ class PreparedBlockAMC:
         The programmed arrays, their effective matrices, and the
         eigenvalue/settling analysis are fixed across right-hand sides,
         so the five-step schedule runs once with *matrix-valued*
-        intermediates: each INV step is a single multi-RHS
-        ``np.linalg.solve`` (one factorization for the whole batch) and
-        each MVM step one matmul. Gain ranging still operates per
-        right-hand side (columns rerun independently, exactly like
-        sequential :meth:`solve` calls).
+        intermediates: each INV step is one factorization for the whole
+        batch (cached across batches) and each MVM step one contraction.
+        Gain ranging still operates per right-hand side (columns rerun
+        independently, exactly like sequential :meth:`solve` calls).
 
         Results are **bit-identical** to a sequential loop of
         :meth:`solve` calls: every step goes through the shared kernel
         of :mod:`repro.core.common`, whose multi-RHS solves factor once
         but back-substitute one column at a time (see
         :class:`repro.core.common.FactoredSystem`) and whose
-        contractions are shape-stable. Configurations whose
-        per-operation randomness cannot be shared across a batch (MNA
-        routing, output or sample-and-hold noise) transparently fall
-        back to that loop.
+        contractions are shape-stable. Configurations that draw fresh
+        noise per operation consume the one generator in sequential
+        order, so they run batch-of-1 per right-hand side on the same
+        cached engine (see :func:`has_per_operation_randomness`).
 
         With ``lean=True`` the per-result payload is a
         :class:`~repro.core.solution.LeanSolveResult`: the solution and
@@ -367,48 +484,25 @@ class PreparedBlockAMC:
         result assembly dominates service-side time at scale (see
         ``BENCH_serving.json``).
         """
-        rhs_list = [np.asarray(b, dtype=float) for b in rhs_batch]
-        if not rhs_list:
-            raise ValidationError("rhs_batch must contain at least one vector")
-        n = self.matrix.shape[0]
-        bs = np.stack([check_vector(b, "b", size=n) for b in rhs_list])
-        rng = as_generator(rng)
-        config = self.macro.config
-        if has_per_operation_randomness(config):
-            results = tuple(self.solve(b, rng) for b in bs)
-            if lean:
-                return tuple(LeanSolveResult.from_result(r) for r in results)
-            return results
+        return solve_in_blocks(
+            self._solve_block, rhs_batch, self.matrix.shape[0], self.macro.config, rng, lean
+        )
 
+    def _solve_block(self, bs: np.ndarray, rngs, lean: bool) -> tuple:
+        """One engine pass over row-stacked ``bs`` (``rngs[c]`` per column)."""
         macro = self.macro
         batch = bs.shape[0]
-        # The engine (effective matrices, INV factorizations, settling
-        # analysis) is batch-invariant: built on first use, cached for
-        # every later batch. Offsets come from the macro's quasi-static
-        # cache, so the cache changes no rng semantics. Stored outside
-        # the frozen dataclass's fields (pure derived state).
-        engine = getattr(self, "_engine", None)
-        if engine is None:
-            engine = BatchedFiveStep(macro, rng)
-            object.__setattr__(self, "_engine", engine)
-        final, final_k = engine.run(bs, self.input_fraction)
+        engine = self._engine
+        final, final_k = engine.run(bs, self.input_fraction, rngs)
         final_sat = final["sat"]
-        settle = engine.settle
-
-        x_lower = engine.digitize(final["s3"])
-        x_upper = -engine.digitize(final["s5"])
-        # Divisor cast keeps x at the backend dtype (identity on f64);
-        # the digital reference always stays float64.
-        divisor = engine.backend.cast(final_k * self.scale)[:, None]
-        x = np.concatenate([x_upper, x_lower], axis=1) / divisor
+        x = engine.solution(final, final_k, self.scale)
+        # The digital reference always stays float64.
         references = solve_columns(self.matrix, bs, what="system matrix")
 
         if lean:
             # Same summation order as SolveResult.analog_time_s (left
             # fold from 0 over steps 1..5) so the scalar is bit-identical.
-            analog_total = sum(
-                (settle[1], settle[2], settle[3], settle[4], settle[5])
-            )
+            analog_total = sum(stage.settle for _, stage in engine.steps)
             return tuple(
                 LeanSolveResult(
                     x=x[c],
@@ -421,12 +515,7 @@ class PreparedBlockAMC:
                 for c in range(batch)
             )
 
-        # Exact-arithmetic per-step references (Fig. 6a curves), batched.
-        reference = reference_schedule(
-            engine.id1, engine.id2, engine.id3, engine.id4 / engine.s_in,
-            final["f"], final["g"],
-        )
-
+        reference = engine.reference(final)
         # Per-step invariants resolve once inside the specs: OpResult
         # construction runs batch x 5 times and dominates assembly time
         # if the macro properties are recomputed per result.

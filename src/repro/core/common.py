@@ -197,7 +197,8 @@ class FactoredSystem:
             raise SolverError(f"{what} is singular: zero pivot at position {info - 1}")
         if info < 0:  # pragma: no cover - defensive (bad LAPACK argument)
             raise SolverError(f"{what} factorization failed (LAPACK info={info})")
-        self.matrix = matrix
+        # Only the factors are kept: a cached engine holds many of these.
+        self.dtype = matrix.dtype
         self._getrs = getrs
         self._lu = lu
         self._piv = piv
@@ -206,7 +207,7 @@ class FactoredSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for ``(n,)`` or row-stacked ``(rhs, n)`` right-hand sides."""
         getrs, lu, piv = self._getrs, self._lu, self._piv
-        rhs = np.ascontiguousarray(rhs, dtype=self.matrix.dtype)
+        rhs = np.ascontiguousarray(rhs, dtype=self.dtype)
         if rhs.ndim == 1:
             x, info = getrs(lu, piv, rhs)
             if info != 0:  # pragma: no cover - defensive (bad LAPACK argument)
@@ -224,6 +225,17 @@ class FactoredSystem:
 def solve_columns(matrix: np.ndarray, rhs: np.ndarray, what: str = "matrix") -> np.ndarray:
     """One-shot :class:`FactoredSystem` solve (``(n,)`` or ``(rhs, n)``)."""
     return FactoredSystem(matrix, what=what).solve(rhs)
+
+
+def factored(matrix, what: str = "matrix") -> FactoredSystem:
+    """``matrix`` as a :class:`FactoredSystem` (factoring it unless it is one).
+
+    Lets helpers take either a plain matrix (one-shot use) or a
+    factorization an engine cached once; both give the same bits.
+    """
+    if isinstance(matrix, FactoredSystem):
+        return matrix
+    return FactoredSystem(matrix, what=what)
 
 
 def solve_slices(
@@ -247,13 +259,16 @@ def ideal_mvm(matrix: np.ndarray, v_in: np.ndarray) -> np.ndarray:
 
 
 def ideal_inv(
-    matrix: np.ndarray,
+    matrix,
     v_in: np.ndarray,
     input_scale: float = 1.0,
     what: str = "ideal block matrix",
 ) -> np.ndarray:
-    """Perfect-circuit INV output ``-matrix^-1 (input_scale * v_in)``."""
-    return -solve_columns(matrix, input_scale * v_in, what=what)
+    """Perfect-circuit INV output ``-matrix^-1 (input_scale * v_in)``.
+
+    ``matrix`` may be a cached :class:`FactoredSystem` (see :func:`factored`).
+    """
+    return -factored(matrix, what=what).solve(input_scale * v_in)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +410,97 @@ def snh_cascade(voltages: np.ndarray, gain_error: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# per-operation randomness in scalar stream order
+# ----------------------------------------------------------------------
+
+
+class NoiseDraws:
+    """Fresh per-operation noise, drawn per vector in scalar stream order.
+
+    The scalar path draws output-referred op-amp noise after every
+    operation and sample-and-hold noise after every buffer transfer —
+    fresh on each gain-ranging attempt. ``rngs[i]`` is vector ``i``'s
+    generator (a Monte-Carlo trial's, or a right-hand side's); the
+    helpers draw for the *active* subset only, so rescaled vectors
+    redraw and settled vectors' generators stay untouched. That keeps
+    every batched engine bit-identical to per-vector scalar ranging
+    loops. Noise-free configurations draw nothing.
+    """
+
+    def __init__(self, rngs, config):
+        self.rngs = rngs
+        self.output_sigma = config.opamp.output_noise_sigma_v
+        self.snh_sigma = config.sample_hold.noise_sigma_v
+        self.snh_error = config.sample_hold.gain_error
+
+    def _rows(self, indices, sigma: float, size: int) -> np.ndarray:
+        if len(indices) == 1:
+            # A batch of one (every solve that shares one generator):
+            # the same ``size`` draws, already shaped as one row.
+            return self.rngs[indices[0]].normal(0.0, sigma, size=(1, size))
+        out = np.empty((len(indices), size))
+        for j, t in enumerate(indices):
+            out[j] = self.rngs[t].normal(0.0, sigma, size=size)
+        return out
+
+    def output(self, indices, raw: np.ndarray) -> np.ndarray:
+        """Add per-operation output noise (scalar ``_add_output_noise``).
+
+        Draws stay float64 (identical streams across precision tiers);
+        the sum is cast back to the operating dtype (no-op on float64).
+        """
+        if self.output_sigma == 0.0:
+            return raw
+        noisy = raw + self._rows(indices, self.output_sigma, raw.shape[1])
+        return noisy.astype(raw.dtype, copy=False)
+
+    def snh_pair(self, indices, voltages: np.ndarray) -> np.ndarray:
+        """Two S&H transfers (output bank then input bank), with noise.
+
+        Noise-free this is exactly :func:`snh_cascade`; with noise each
+        transfer adds its own fresh float64 draw, like the two scalar
+        ``SampleHold`` stages — so, like them, a float32 tier's held
+        voltages come back float64, and the next operation casts its
+        input to the tier.
+        """
+        if self.snh_sigma == 0.0:
+            return snh_cascade(voltages, self.snh_error)
+        gain = 1.0 + self.snh_error
+        size = voltages.shape[1]
+        held = voltages * gain + self._rows(indices, self.snh_sigma, size)
+        return held * gain + self._rows(indices, self.snh_sigma, size)
+
+
+class LazyOffsets:
+    """Op-amp offset columns drawn at first use, like the scalar schedule.
+
+    The scalar ``AMCOperations`` draws one offset column per distinct
+    size at that size's *first operation* and caches it — and with
+    per-operation noise enabled, noise draws from the same generator
+    interleave between those first uses. Drawing lazily therefore keeps
+    every stream in scalar order whether or not noise is on.
+
+    ``draw(size)`` runs once per size and returns ``None`` (no offsets),
+    one ``(size,)`` column shared by every vector (a programmed macro's
+    physical op-amp column), or a ``(vectors, size)`` stack of
+    per-vector columns (one per Monte-Carlo trial), which :meth:`take`
+    slices to the active subset.
+    """
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._by_size: dict[int, np.ndarray | None] = {}
+
+    def take(self, size: int, indices) -> np.ndarray | None:
+        if size not in self._by_size:
+            self._by_size[size] = self._draw(size)
+        values = self._by_size[size]
+        if values is None or values.ndim == 1:
+            return values
+        return values[indices]
+
+
+# ----------------------------------------------------------------------
 # analog gain ranging
 # ----------------------------------------------------------------------
 
@@ -453,16 +559,20 @@ def auto_range_many(run, k0: np.ndarray, v_fs: float):
 
     ``run(k, indices)`` executes the pipeline for the subset ``indices``
     at per-vector scales ``k`` and returns ``(peaks, payload)`` where
-    payload is a dict of stacked per-vector output arrays (any dtype).
-    Each vector rescales and reruns independently — the same decisions,
-    in the same :func:`ranging_rescale` arithmetic, as a scalar
-    :func:`auto_range` loop over the vectors.
+    payload is a dict of stacked per-vector output arrays (any dtype),
+    freshly allocated per call. Each vector rescales and reruns
+    independently — the same decisions, in the same
+    :func:`ranging_rescale` arithmetic, as a scalar :func:`auto_range`
+    loop over the vectors.
+
+    The first attempt covers every vector in order, so its payload is
+    the result: reruns overwrite only their own rows, and a batch that
+    nothing reran returns the first payload untouched. The returned
+    scales are each vector's last (accepted) attempt's.
     """
-    count = k0.size
     k = k0.copy()
-    active = np.arange(count)
+    active = np.arange(k0.size)
     final: dict[str, np.ndarray] = {}
-    final_k = k0.copy()
     for attempt in range(MAX_RANGING_ATTEMPTS):
         peaks, payload = run(k[active], active)
         # Rescale arithmetic always runs in float64, exactly like the
@@ -474,14 +584,14 @@ def auto_range_many(run, k0: np.ndarray, v_fs: float):
             accept = np.ones_like(peaks, dtype=bool)
         else:
             accept = peaks <= RANGING_HEADROOM * v_fs
-        accepted = active[accept]
-        for key, values in payload.items():
-            if key not in final:
-                final[key] = np.zeros((count, *values.shape[1:]), dtype=values.dtype)
-            final[key][accepted] = values[accept]
-        final_k[accepted] = k[active][accept]
+        if attempt == 0:
+            final = payload
+        else:
+            accepted = active[accept]
+            for key, values in payload.items():
+                final[key][accepted] = values[accept]
         if np.all(accept):
-            return final, final_k
+            return final, k
         rescale = ~accept
         k[active[rescale]] = ranging_rescale(k[active[rescale]], peaks[rescale], v_fs)
         active = active[rescale]

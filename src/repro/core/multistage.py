@@ -25,46 +25,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.amc.interfaces import ADC, DAC, quantize_voltages
+from repro.amc.interfaces import quantize_voltages
 from repro.amc.macro import BlockAMCMacro
-from repro.amc.ops import AMCOperations, OpResult
-from repro.circuits.dynamics import mvm_settling_time
+from repro.amc.ops import AMCOperations
 from repro.core.blockamc import (
     BatchedFiveStep,
     BatchedOpSpec,
-    has_per_operation_randomness,
+    InvStage,
+    MvmStage,
+    macro_offsets,
+    solve_in_blocks,
 )
 from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
-    FactoredSystem,
-    auto_range,
+    NoiseDraws,
     auto_range_many,
-    ideal_inv,
-    ideal_mvm,
-    input_voltage_scale,
     input_voltage_scale_many,
-    inv_loading,
-    inv_rhs,
-    inv_system,
-    mvm_raw,
-    saturate,
 )
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
 from repro.core.solution import LeanSolveResult, SolveResult
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.mapping import normalize_matrix
-from repro.errors import SolverError, ValidationError
+from repro.errors import SolverError
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_square_matrix, check_vector
 
 
 @dataclass
-class _Tally:
-    """Mutable accumulator of telemetry across the solver tree."""
+class _ResourceCount:
+    """Hardware inventory of a solver tree (batch-invariant)."""
 
-    operations: list[OpResult] = field(default_factory=list)
-    dac_conversions: int = 0
-    adc_conversions: int = 0
     macro_count: int = 0
     array_count: int = 0
     device_count: int = 0
@@ -72,12 +62,12 @@ class _Tally:
 
 @dataclass
 class _BatchTally:
-    """Batched counterpart of :class:`_Tally`.
+    """Per-batch telemetry of one pass through the solver tree.
 
     Collects whole-batch :class:`~repro.core.blockamc.BatchedOpSpec`
-    telemetry in tree-execution order — the same order a scalar solve
-    appends its :class:`OpResult` objects — plus the per-solve
-    conversion counts (batch-invariant by construction).
+    telemetry in tree-execution order — the order a one-vector walk of
+    the tree performs its operations — plus the per-solve conversion
+    counts (batch-invariant by construction).
     """
 
     specs: list[BatchedOpSpec] = field(default_factory=list)
@@ -88,8 +78,9 @@ class _BatchTally:
 class _TiledMVM:
     """A (possibly rectangular) block tiled over terminal-size arrays.
 
-    ``apply`` computes ``block @ v`` by running one analog MVM per tile,
-    digitizing each partial product, and summing digitally.
+    ``apply_many`` computes ``block @ v`` per row by running one analog
+    MVM per tile, digitizing each partial product, and summing
+    digitally.
     """
 
     def __init__(self, block: np.ndarray, tile: int, config: HardwareConfig, rng):
@@ -102,7 +93,7 @@ class _TiledMVM:
         self.col_starts = list(range(0, self.cols, tile))
         self.arrays: dict[tuple[int, int], CrossbarArray] = {}
         self.skipped_tiles = 0
-        self._batch_tiles: list | None = None
+        self._stages: list | None = None
         for ri, r0 in enumerate(self.row_starts):
             for ci, c0 in enumerate(self.col_starts):
                 sub = block[r0 : r0 + tile, c0 : c0 + tile]
@@ -130,127 +121,49 @@ class _TiledMVM:
         """Total RRAM cells across all tiles."""
         return sum(a.device_count for a in self.arrays.values())
 
-    def apply(self, v: np.ndarray, fraction: float, tally: _Tally, rng) -> np.ndarray:
-        """Return ``block @ v`` (digital in, digital out), with gain ranging."""
-        v = check_vector(v, "v", size=self.cols)
-        dac = DAC(self.config.converters)
-        adc = ADC(self.config.converters)
-        v_fs = self.config.converters.v_fs
-
-        def run(k):
-            tile_cols = len(self.col_starts)
-            v_chunks = []
-            for ci in range(tile_cols):
-                c0 = self.col_starts[ci]
-                c1 = self.col_starts[ci + 1] if ci + 1 < tile_cols else self.cols
-                v_chunks.append(dac.convert(k * v[c0:c1]))
-
-            out = np.zeros(self.rows)
-            ops: list[OpResult] = []
-            peak = 0.0
-            for ri, r0 in enumerate(self.row_starts):
-                r1 = self.row_starts[ri + 1] if ri + 1 < len(self.row_starts) else self.rows
-                acc = np.zeros(r1 - r0)
-                for ci in range(tile_cols):
-                    if (ri, ci) not in self.arrays:
-                        continue  # all-zero tile: partial product is zero
-                    op = self.ops.mvm(
-                        self.arrays[(ri, ci)],
-                        v_chunks[ci],
-                        label=f"tile-mvm[{ri},{ci}]",
-                        rng=rng,
-                    )
-                    ops.append(op)
-                    peak = max(peak, float(np.max(np.abs(op.output))))
-                    # Each partial product is digitized before the digital
-                    # sum (circuit sign removed digitally).
-                    acc = acc - adc.convert(op.output)
-                out[r0:r1] = acc
-            return peak, (out, ops)
-
-        k0 = input_voltage_scale(v, v_fs, fraction)
-        (out, ops), k = auto_range(run, k0, v_fs)
-        tally.operations.extend(ops)
-        tally.dac_conversions += len(self.col_starts)
-        tally.adc_conversions += len(ops)
-        return out / k
-
     def apply_many(
-        self, v_rows: np.ndarray, fraction: float, tally: _BatchTally, rng
+        self, v_rows: np.ndarray, fraction: float, tally: _BatchTally, rngs
     ) -> np.ndarray:
-        """Row-stacked :meth:`apply`: ``block @ v`` per row, ranged per row.
+        """``block @ v`` per row (digital in, digital out), ranged per row.
 
         Each tile's MVM runs once for the whole batch through the
-        shared multi-RHS kernel (offsets drawn through the node's own
-        op-amp cache in scalar tile order), so row ``c`` is
-        bit-identical to a scalar :meth:`apply` of ``v_rows[c]``.
+        shared multi-RHS kernel, in row-major tile order — the order in
+        which the node's op-amp column draws each tile size's offsets
+        at first use and each operation draws its output noise.
         """
-        config = self.config
-        conv = config.converters
+        conv = self.config.converters
         v_fs = conv.v_fs
-        a0 = config.opamp.open_loop_gain
-        v_sat = config.opamp.v_sat
-        gbwp = config.opamp.gbwp_hz
-        tile_cols = len(self.col_starts)
-        col_bounds = list(
-            zip(self.col_starts, self.col_starts[1:] + [self.cols])
-        )
-
-        if self._batch_tiles is None:
-            # Batch-invariant per-tile data (effective matrices, load
-            # sums, settling analysis), built once per node and reused
-            # by every batch — visited in the scalar loop's (ri, ci)
-            # order so first-use offset draws replay the scalar rng
-            # stream exactly (offsets come from the node's own
-            # quasi-static cache, shared with the scalar path).
-            row_bounds = list(
-                zip(self.row_starts, self.row_starts[1:] + [self.rows])
-            )
-            bk = config.resolve_backend()
-            self._batch_tiles = [
-                (
-                    ri,
-                    ci,
-                    r0,
-                    r1,
-                    array,
-                    # Analog operands at the backend tier (identity on
-                    # float64); ideal matrix and settle stay float64.
-                    bk.cast(array.effective_matrix(config.parasitics)),
-                    bk.cast(array.load_row_sums()),
-                    bk.cast(self.ops._draw_offsets(array.shape[0], rng)),
-                    self.ops._ideal_matrix(array),
-                    mvm_settling_time(
-                        np.asarray(array.g_pos) + np.asarray(array.g_neg),
-                        array.g_unit,
-                        gbwp,
-                    ),
-                )
+        # Digital inputs arrive as float64, whatever tier produced them.
+        v_rows = np.asarray(v_rows, dtype=np.float64)
+        col_bounds = list(zip(self.col_starts, self.col_starts[1:] + [self.cols]))
+        if self._stages is None:
+            # Batch-invariant per-tile state (effective matrices, load
+            # sums, settling analysis), built once per node.
+            row_bounds = list(zip(self.row_starts, self.row_starts[1:] + [self.rows]))
+            self._stages = [
+                (ri, ci, r0, r1, MvmStage(self.ops, array))
                 for ri, (r0, r1) in enumerate(row_bounds)
-                for ci in range(tile_cols)
+                for ci in range(len(col_bounds))
                 # all-zero tiles have no array: partial product is zero
                 if (array := self.arrays.get((ri, ci))) is not None
             ]
-        tiles = self._batch_tiles
-        cast = config.resolve_backend().cast
+        stages = self._stages
+        noise = NoiseDraws(rngs, self.config)
+        offsets = macro_offsets(self.ops, rngs)
 
         def run_subset(k, indices):
+            # DAC outputs stay float64 here (each stage casts its own
+            # input), so the ideal products see what the scalar op sees.
             chunks = [
-                cast(
-                    quantize_voltages(
-                        k[:, None] * v_rows[indices, c0:c1], conv.dac_bits, v_fs
-                    )
-                )
+                quantize_voltages(k[:, None] * v_rows[indices, c0:c1], conv.dac_bits, v_fs)
                 for c0, c1 in col_bounds
             ]
             out = np.zeros((indices.size, self.rows))
             payload = {}
             peaks = np.zeros(indices.size)
-            for ti, (ri, ci, r0, r1, array, eff, loads, offsets, _, _) in enumerate(
-                tiles
-            ):
-                raw = mvm_raw(eff, loads, chunks[ci], offsets, a0)
-                clipped, sat = saturate(raw, v_sat)
+            for ti, (ri, ci, r0, r1, stage) in enumerate(stages):
+                off = offsets.take(stage.array.shape[0], indices)
+                clipped, sat = stage.op(chunks[ci], off, noise, indices)
                 payload[f"tile{ti}"] = clipped
                 payload[f"tsat{ti}"] = sat
                 peaks = np.maximum(peaks, np.max(np.abs(clipped), axis=1))
@@ -264,24 +177,18 @@ class _TiledMVM:
 
         k0 = input_voltage_scale_many(v_rows, v_fs, fraction)
         final, final_k = auto_range_many(run_subset, k0, v_fs)
-        for ti, (ri, ci, r0, r1, array, eff, loads, offsets, ideal_m, settle) in (
-            enumerate(tiles)
-        ):
+        for ti, (ri, ci, r0, r1, stage) in enumerate(stages):
             tally.specs.append(
-                BatchedOpSpec(
-                    label=f"tile-mvm[{ri},{ci}]",
-                    kind="mvm",
-                    outputs=final[f"tile{ti}"],
-                    ideal=ideal_mvm(ideal_m, final[f"chunk{ci}"]),
-                    settling_time_s=settle,
-                    saturated=final[f"tsat{ti}"],
-                    rows=array.shape[0],
-                    cols=array.shape[1],
-                    device_count=array.device_count,
+                BatchedOpSpec.from_stage(
+                    f"tile-mvm[{ri},{ci}]",
+                    stage,
+                    final[f"tile{ti}"],
+                    final[f"chunk{ci}"],
+                    final[f"tsat{ti}"],
                 )
             )
-        tally.dac_conversions += tile_cols
-        tally.adc_conversions += len(tiles)
+        tally.dac_conversions += len(col_bounds)
+        tally.adc_conversions += len(stages)
         return final["out"] / final_k[:, None]
 
 
@@ -309,54 +216,33 @@ class _MacroNode:
     def device_count(self) -> int:
         return self.macro.device_count
 
-    def count_resources(self, tally: _Tally) -> None:
-        tally.macro_count += 1
-        tally.array_count += 4
-        tally.device_count += self.macro.device_count
-
-    def solve(self, rhs: np.ndarray, tally: _Tally, rng) -> np.ndarray:
-        """Solve ``block @ x = rhs`` (digital in, digital out), with ranging."""
-        v_fs = self.config.converters.v_fs
-
-        def run(k):
-            v_b = k * rhs
-            result = self.macro.solve(v_b[: self.split], v_b[self.split :], rng)
-            peak = max(float(np.max(np.abs(step.output))) for step in result.steps)
-            return peak, result
-
-        k0 = input_voltage_scale(rhs, v_fs, self.fraction)
-        result, k = auto_range(run, k0, v_fs)
-        tally.operations.extend(result.steps)
-        tally.dac_conversions += 2
-        tally.adc_conversions += 2
-        return result.solution / (k * self.scale)
+    def count_resources(self, counts: _ResourceCount) -> None:
+        counts.macro_count += 1
+        counts.array_count += 4
+        counts.device_count += self.macro.device_count
 
     def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rng
+        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
     ) -> np.ndarray:
-        """Row-stacked :meth:`solve` through the shared five-step engine.
+        """Solve ``block @ x = rhs`` per row through the five-step engine.
 
         One :class:`~repro.core.blockamc.BatchedFiveStep` is built per
-        node (offsets drawn through the macro's own cache in scalar
-        step order, factorizations and settling analysis shared), then
-        reused by every batch — including the two visits the glue
-        recursion pays this node per solve.
+        node (factorizations and settling analysis shared), then reused
+        by every batch — including the two visits the glue recursion
+        pays this node per solve.
         """
         if self._engine is None:
-            self._engine = BatchedFiveStep(self.macro, rng)
+            self._engine = BatchedFiveStep(self.macro)
         engine = self._engine
-        final, final_k = engine.run(rhs_rows, self.fraction)
+        final, final_k = engine.run(rhs_rows, self.fraction, rngs)
         tally.specs.extend(engine.step_specs(final))
         tally.dac_conversions += 2
         tally.adc_conversions += 2
-        x_upper = -engine.digitize(final["s5"])
-        x_lower = engine.digitize(final["s3"])
-        solution = np.concatenate([x_upper, x_lower], axis=1)
-        return solution / engine.backend.cast(final_k * self.scale)[:, None]
+        return engine.solution(final, final_k, self.scale)
 
 
 class _DirectInvNode:
-    """Fallback terminal node for blocks too small to partition (n < 2)."""
+    """Terminal node for blocks too small to partition (n < 2): one INV."""
 
     def __init__(self, block: np.ndarray, config: HardwareConfig, fraction: float, rng):
         self.config = config
@@ -366,87 +252,46 @@ class _DirectInvNode:
             normalized, config.programming, rng, g_unit=config.g_unit, pre_normalized=True
         )
         self.ops = AMCOperations(config)
-        self._batch_state: tuple | None = None
+        self._stage: InvStage | None = None
 
-    def count_resources(self, tally: _Tally) -> None:
-        tally.array_count += 1
-        tally.device_count += self.array.device_count
-
-    def solve(self, rhs: np.ndarray, tally: _Tally, rng) -> np.ndarray:
-        dac = DAC(self.config.converters)
-        adc = ADC(self.config.converters)
-        v_fs = self.config.converters.v_fs
-
-        def run(k):
-            op = self.ops.inv(self.array, dac.convert(k * rhs), label="direct-inv", rng=rng)
-            return float(np.max(np.abs(op.output))), op
-
-        k0 = input_voltage_scale(rhs, v_fs, self.fraction)
-        op, k = auto_range(run, k0, v_fs)
-        tally.operations.append(op)
-        tally.dac_conversions += 1
-        tally.adc_conversions += 1
-        return -adc.convert(op.output) / (k * self.scale)
+    def count_resources(self, counts: _ResourceCount) -> None:
+        counts.array_count += 1
+        counts.device_count += self.array.device_count
 
     def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rng
+        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
     ) -> np.ndarray:
-        """Row-stacked :meth:`solve`: one INV factorization, many columns.
-
-        The factored finite-gain system, ideal matrix, and settling
-        estimate are batch-invariant — built on first use, reused by
-        every later batch (offsets come from the node's quasi-static
-        cache, shared with the scalar path).
-        """
+        """Solve ``block @ x = rhs`` per row: one INV factorization, many columns."""
         config = self.config
         conv = config.converters
         v_fs = conv.v_fs
-        rows, cols = self.array.shape
-        bk = config.resolve_backend()
-        if self._batch_state is None:
-            effective = self.array.effective_matrix(config.parasitics)
-            # Settling analysis runs on the float64 matrix; the solve
-            # state drops to the backend tier (identity on float64).
-            loading = inv_loading(bk.cast(self.array.load_row_sums()), 1.0)
-            self._batch_state = (
-                bk.cast(self.ops._draw_offsets(rows, rng)),
-                loading,
-                FactoredSystem(
-                    inv_system(bk.cast(effective), loading, config.opamp.open_loop_gain)
-                ),
-                self.ops._ideal_matrix(self.array),
-                self.ops._inv_settle(effective),
-            )
-        offsets, loading, fact, ideal_matrix, settle = self._batch_state
+        if self._stage is None:
+            self._stage = InvStage(self.ops, self.array)
+        stage = self._stage
+        noise = NoiseDraws(rngs, config)
+        offsets = macro_offsets(self.ops, rngs)
 
         def run_subset(k, indices):
-            v_in = bk.cast(
-                quantize_voltages(k[:, None] * rhs_rows[indices], conv.dac_bits, v_fs)
-            )
-            raw = fact.solve(inv_rhs(v_in, loading, offsets, 1.0))
-            clipped, sat = saturate(raw, config.opamp.v_sat)
+            # The DAC output stays float64 (the stage casts its input),
+            # so the ideal output sees what the scalar op sees.
+            v_in = quantize_voltages(k[:, None] * rhs_rows[indices], conv.dac_bits, v_fs)
+            off = offsets.take(self.array.shape[0], indices)
+            clipped, sat = stage.op(v_in, off, noise, indices)
             peaks = np.max(np.abs(clipped), axis=1)
             return peaks, {"out": clipped, "v_in": v_in, "sat": sat}
 
         k0 = input_voltage_scale_many(rhs_rows, v_fs, self.fraction)
         final, final_k = auto_range_many(run_subset, k0, v_fs)
         tally.specs.append(
-            BatchedOpSpec(
-                label="direct-inv",
-                kind="inv",
-                outputs=final["out"],
-                ideal=ideal_inv(ideal_matrix, final["v_in"]),
-                settling_time_s=settle,
-                saturated=final["sat"],
-                rows=rows,
-                cols=cols,
-                device_count=self.array.device_count,
+            BatchedOpSpec.from_stage(
+                "direct-inv", stage, final["out"], final["v_in"], final["sat"]
             )
         )
         tally.dac_conversions += 1
         tally.adc_conversions += 1
         digitized = quantize_voltages(final["out"], conv.adc_bits, v_fs)
-        return -digitized / bk.cast(final_k * self.scale)[:, None]
+        divisor = (final_k * self.scale).astype(digitized.dtype, copy=False)
+        return -digitized / divisor[:, None]
 
 
 class _DigitalGlueNode:
@@ -479,45 +324,32 @@ class _DigitalGlueNode:
         self.tiles_a2 = _TiledMVM(blocks.a2, tile, config, rng)
         self.tiles_a3 = _TiledMVM(blocks.a3, tile, config, rng)
 
-    def count_resources(self, tally: _Tally) -> None:
-        self.upper.count_resources(tally)
-        self.lower.count_resources(tally)
-        tally.array_count += self.tiles_a2.array_count + self.tiles_a3.array_count
-        tally.device_count += self.tiles_a2.device_count + self.tiles_a3.device_count
-
-    def solve(self, rhs: np.ndarray, tally: _Tally, rng) -> np.ndarray:
-        """Solve ``block @ x = rhs`` (digital in, digital out)."""
-        rhs_n = np.asarray(rhs, dtype=float) / self.scale
-        f = rhs_n[: self.split]
-        g = rhs_n[self.split :]
-
-        y_t = self.upper.solve(f, tally, rng)
-        g_t = self.tiles_a3.apply(y_t, self.fraction, tally, rng)
-        z = self.lower.solve(g - g_t, tally, rng)
-        f_t = self.tiles_a2.apply(z, self.fraction, tally, rng)
-        y = self.upper.solve(f - f_t, tally, rng)
-        return np.concatenate([y, z])
+    def count_resources(self, counts: _ResourceCount) -> None:
+        self.upper.count_resources(counts)
+        self.lower.count_resources(counts)
+        counts.array_count += self.tiles_a2.array_count + self.tiles_a3.array_count
+        counts.device_count += self.tiles_a2.device_count + self.tiles_a3.device_count
 
     def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rng
+        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
     ) -> np.ndarray:
-        """Row-stacked :meth:`solve`: the recursion stays matrix-valued.
+        """Solve ``block @ x = rhs`` per row; the recursion stays matrix-valued.
 
         The five-step glue schedule runs once with ``(batch, n)``
         blocks flowing between child nodes — every digital combination
         is element-wise (bitwise batch-stable) and every analog stage
         delegates to the shared multi-RHS kernel, so row ``c`` is
-        bit-identical to a scalar :meth:`solve` of ``rhs_rows[c]``.
+        bit-identical to a one-vector walk of the tree for ``rhs_rows[c]``.
         """
         rhs_n = np.asarray(rhs_rows, dtype=float) / self.scale
         f = rhs_n[:, : self.split]
         g = rhs_n[:, self.split :]
 
-        y_t = self.upper.solve_many(f, tally, rng)
-        g_t = self.tiles_a3.apply_many(y_t, self.fraction, tally, rng)
-        z = self.lower.solve_many(g - g_t, tally, rng)
-        f_t = self.tiles_a2.apply_many(z, self.fraction, tally, rng)
-        y = self.upper.solve_many(f - f_t, tally, rng)
+        y_t = self.upper.solve_many(f, tally, rngs)
+        g_t = self.tiles_a3.apply_many(y_t, self.fraction, tally, rngs)
+        z = self.lower.solve_many(g - g_t, tally, rngs)
+        f_t = self.tiles_a2.apply_many(z, self.fraction, tally, rngs)
+        y = self.upper.solve_many(f - f_t, tally, rngs)
         return np.concatenate([y, z], axis=1)
 
 
@@ -539,30 +371,13 @@ class PreparedMultiStage:
     stages: int
 
     def solve(self, b: np.ndarray, rng=None) -> SolveResult:
-        """Solve ``A x = b`` on the programmed solver tree."""
-        n = self.matrix.shape[0]
-        b = check_vector(b, "b", size=n)
-        rng = as_generator(rng)
+        """Solve ``A x = b`` on the programmed solver tree.
 
-        tally = _Tally()
-        x = self.root.solve(b, tally, rng)
-        self.root.count_resources(tally)
-
-        reference = np.linalg.solve(self.matrix, b)
-        return SolveResult(
-            x=x,
-            reference=reference,
-            solver=f"blockamc-{self.stages}stage",
-            operations=tuple(tally.operations),
-            metadata={
-                "stages": self.stages,
-                "macro_count": tally.macro_count,
-                "array_count": tally.array_count,
-                "device_count": tally.device_count,
-                "dac_conversions": tally.dac_conversions,
-                "adc_conversions": tally.adc_conversions,
-            },
-        )
+        Exactly ``solve_many([b], rng)[0]``: a batch of one through the
+        tree's cached engines.
+        """
+        b = check_vector(b, "b", size=self.matrix.shape[0])
+        return self.solve_many([b], rng)[0]
 
     def solve_many(
         self, rhs_batch, rng=None, *, lean: bool = False
@@ -578,50 +393,32 @@ class PreparedMultiStage:
         through :class:`~repro.core.blockamc.BatchedFiveStep` (factor
         once, per-column ``getrs``), and tile MVMs run the shared
         multi-RHS kernel. Results are **bit-identical** to a sequential
-        loop of :meth:`solve` calls — the same contract (and the same
-        transparent fallback rules) as
-        :meth:`~repro.core.blockamc.PreparedBlockAMC.solve_many`:
-        configurations whose per-operation randomness cannot be shared
-        across a batch (MNA routing, output or sample-and-hold noise)
-        fall back to that loop.
+        loop of :meth:`solve` calls — the same contract as
+        :meth:`~repro.core.blockamc.PreparedBlockAMC.solve_many`,
+        including its rule for configurations with per-operation noise
+        (batch-of-1 per right-hand side, sharing the one generator).
 
         With ``lean=True`` the per-result payload is a
         :class:`~repro.core.solution.LeanSolveResult` (same solution
         bits, no per-operation OpResult construction).
         """
-        rhs_list = [np.asarray(b, dtype=float) for b in rhs_batch]
-        if not rhs_list:
-            raise ValidationError("rhs_batch must contain at least one vector")
-        n = self.matrix.shape[0]
-        bs = np.stack([check_vector(b, "b", size=n) for b in rhs_list])
-        rng = as_generator(rng)
-        if has_per_operation_randomness(self.root.config):
-            results = tuple(self.solve(b, rng) for b in bs)
-            if lean:
-                return tuple(LeanSolveResult.from_result(r) for r in results)
-            return results
+        return solve_in_blocks(
+            self._solve_block, rhs_batch, self.matrix.shape[0], self.root.config, rng, lean
+        )
 
+    def _solve_block(self, bs: np.ndarray, rngs, lean: bool) -> tuple:
+        """One pass of the tree over row-stacked ``bs`` (``rngs[c]`` per row)."""
         batch = bs.shape[0]
         tally = _BatchTally()
-        x = self.root.solve_many(bs, tally, rng)
-        counts = _Tally()
+        x = self.root.solve_many(bs, tally, rngs)
+        counts = _ResourceCount()
         self.root.count_resources(counts)
-        counts.dac_conversions = tally.dac_conversions
-        counts.adc_conversions = tally.adc_conversions
-        # Per-column exact references through the scalar path's call
-        # (np.linalg.solve) so reference bits match :meth:`solve`.
+        # Per-column exact references through np.linalg.solve, one
+        # vector at a time (the reference's bits never see the batch).
         references = np.stack(
             [np.linalg.solve(self.matrix, bs[c]) for c in range(batch)]
         )
         solver = f"blockamc-{self.stages}stage"
-        metadata_common = {
-            "stages": self.stages,
-            "macro_count": counts.macro_count,
-            "array_count": counts.array_count,
-            "device_count": counts.device_count,
-            "dac_conversions": counts.dac_conversions,
-            "adc_conversions": counts.adc_conversions,
-        }
 
         if lean:
             # Same left-fold summation order as SolveResult.analog_time_s.
@@ -643,13 +440,21 @@ class PreparedMultiStage:
                 for c in range(batch)
             )
 
+        metadata = {
+            "stages": self.stages,
+            "macro_count": counts.macro_count,
+            "array_count": counts.array_count,
+            "device_count": counts.device_count,
+            "dac_conversions": tally.dac_conversions,
+            "adc_conversions": tally.adc_conversions,
+        }
         return tuple(
             SolveResult(
                 x=x[c],
                 reference=references[c],
                 solver=solver,
                 operations=tuple(spec.op_result(c) for spec in tally.specs),
-                metadata=dict(metadata_common),
+                metadata=dict(metadata),
             )
             for c in range(batch)
         )

@@ -476,18 +476,27 @@ def configure(
     appended to ``spans-<pid>.jsonl`` there.
     """
     global _ACTIVE, _ACTIVE_PID
-    if _ACTIVE.enabled:
-        _ACTIVE.close()
+    _close_own_tracer()
     _ACTIVE = Tracer(trace_dir=trace_dir, capacity=capacity, service=service)
     _ACTIVE_PID = os.getpid()
     return _ACTIVE
 
 
+def _close_own_tracer() -> None:
+    """Close the active tracer if this process configured it.
+
+    A tracer inherited across ``fork`` is dropped, never closed: its lock
+    may have been held by a parent thread at the moment of the fork, and
+    that thread does not exist in the child to release it.
+    """
+    if _ACTIVE.enabled and _ACTIVE_PID == os.getpid():
+        _ACTIVE.close()
+
+
 def disable() -> None:
     """Return to the no-op singleton (in-memory spans are dropped)."""
     global _ACTIVE, _ACTIVE_PID
-    if _ACTIVE.enabled:
-        _ACTIVE.close()
+    _close_own_tracer()
     _ACTIVE = DISABLED_TRACER
     _ACTIVE_PID = None
 

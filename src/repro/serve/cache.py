@@ -15,8 +15,9 @@ guarantee, enforced by ``tests/test_serve.py``):
   one warm-up solve). A cached entry is therefore a pure function of its
   key, independent of which request happened to arrive first;
 - after warm-up, solvers without per-operation noise are rng-independent
-  (offsets are quasi-static and cached per op-amp column), so replayed
-  solves are deterministic no matter how requests are scheduled.
+  (offsets are quasi-static and cached per op-amp column; MNA routing
+  draws nothing else), so replayed solves are deterministic no matter
+  how requests are scheduled.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ class PreparedEntry:
 
     ``coalescible`` marks entries whose queued requests may be merged
     into one multi-RHS ``solve_many`` call (one- and two-stage BlockAMC
-    without per-operation noise or MNA routing — exactly the
-    configurations whose batched pipelines are bitwise invariant to
-    batch composition). Other solvers execute request by request
-    against the same cached programming.
+    without per-operation noise — exactly the configurations whose
+    batched pipelines are bitwise invariant to batch composition, MNA
+    routing included). Other entries execute request by request, each
+    with its own generator, against the same cached programming.
     """
 
     key: PreparedKey

@@ -51,6 +51,7 @@ import queue
 import signal
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,7 +82,12 @@ from repro.serve.net.protocol import (
 )
 from repro.serve.net.transport import AttachedBlock, BlockRef, publish_block
 from repro.serve.requests import SolveRequest
-from repro.serve.resilience import DEGRADABLE_ERRORS, CircuitBreaker, digital_fallback
+from repro.serve.resilience import (
+    DEGRADABLE_ERRORS,
+    CircuitBreaker,
+    digital_fallback,
+    prune_breakers,
+)
 from repro.serve.service import ServiceConfig, resolve_request
 from repro.testing.chaos import WorkerKillChaos, chaos_entry_transform, plan_from_env
 
@@ -219,7 +225,7 @@ class _WorkerState:
         self.batcher = MicroBatcher(config.max_batch_size)
         self.breakers: dict[PreparedKey, CircuitBreaker] = {}
         #: digest → matrix, bounded LRU (evictions answer UnknownDigestError).
-        self.matrices: dict[str, np.ndarray] = {}
+        self.matrices: OrderedDict[str, np.ndarray] = OrderedDict()
         self.matrix_capacity = max(64, 4 * config.cache_capacity)
         self.plan = plan_from_env()
         self.entry_transform = config.entry_transform
@@ -276,8 +282,6 @@ def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
     """Resolve one item to its cache identity; fail it typed if impossible."""
     if item.matrix is not None:
         state.matrices[item.digest] = item.matrix
-        while len(state.matrices) > state.matrix_capacity:
-            state.matrices.pop(next(iter(state.matrices)))
     elif item.digest not in state.matrices:
         _respond_failure(
             state,
@@ -289,6 +293,11 @@ def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
             ),
         )
         return
+    # A payload or a reference both make the digest most recently used;
+    # evict only after, so the digest being admitted always survives.
+    state.matrices.move_to_end(item.digest)
+    while len(state.matrices) > state.matrix_capacity:
+        state.matrices.popitem(last=False)
     try:
         key, hardware = resolve_request(
             _RequestView(item.digest, item.solver, item.prep_seed), state.config
@@ -408,6 +417,7 @@ def _breaker_for(state: _WorkerState, key: PreparedKey) -> CircuitBreaker | None
             policy.breaker_threshold, policy.breaker_reset_s, on_transition=count
         )
         state.breakers[key] = breaker
+        prune_breakers(state.breakers, state.cache, keep=key)
     return breaker
 
 

@@ -63,8 +63,8 @@ class SolveRequest:
         service default.
     seed:
         Per-request randomness seed. Only consumed by configurations
-        with per-operation noise (output or sample-and-hold noise, MNA
-        routing); deterministic configurations ignore it. Either way the
+        with per-operation noise (op-amp output or sample-and-hold
+        noise); deterministic configurations ignore it. Either way the
         result is a pure function of (prepared solver, ``b``, ``seed``),
         never of scheduling order.
     prep_seed:

@@ -214,6 +214,35 @@ class CircuitBreaker:
             return False
 
 
+def prune_breakers(breakers: dict, cache, keep) -> None:
+    """Bound a shard's breaker map by its prepared-solver cache.
+
+    Called when ``keep`` — the key about to be served — gets a new
+    breaker. Once the map outgrows the cache capacity, every *closed*
+    breaker whose key is not cached is dropped; so is the closed breaker
+    of the least recently used entry when the cache is full, since
+    preparing ``keep`` evicts it. Open and half-open breakers stay
+    whatever the cache holds (their state is what a breaker exists to
+    remember), so the map never exceeds ``cache.capacity`` plus the
+    non-closed breakers however many distinct keys a shard sees. A
+    dropped closed breaker loses at most a count of consecutive
+    failures below the threshold.
+    """
+    if len(breakers) <= cache.capacity:
+        return
+    resident = cache.keys()  # least recently used first
+    if len(resident) >= cache.capacity:
+        resident = resident[1:]
+    keep_keys = set(resident) | {keep}
+    stale = [
+        key
+        for key, breaker in breakers.items()
+        if key not in keep_keys and breaker.state == "closed"
+    ]
+    for key in stale:
+        del breakers[key]
+
+
 def digital_fallback(
     request: SolveRequest, *, lean: bool = False
 ) -> SolveResult | LeanSolveResult:

@@ -93,6 +93,7 @@ from repro.serve.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
     digital_fallback,
+    prune_breakers,
 )
 
 __all__ = [
@@ -680,6 +681,7 @@ class SolverService:
                     on_transition=self._metrics.record_breaker_transition,
                 )
                 shard.breakers[key] = breaker
+                prune_breakers(shard.breakers, shard.cache, keep=key)
             return breaker
 
     def _record_key_failure(

@@ -4,14 +4,17 @@ The equivalence suite (``test_kernel_equivalence.py``) proves the three
 kernel shapes agree with *each other*; these tests pin them against
 *committed history*, so a change that drifts all paths in lockstep — a
 reordered reduction, a new margin, an "equivalent" formula — still
-trips CI. Two records are pinned:
+trips CI. The records pinned include:
 
 - the tier-1-scale Fig. 7 accuracy sweep through
   ``run_trials_batched`` (which the equivalence suite ties bit-for-bit
   to the scalar path, so this fixture transitively pins both);
 - one ``repro.serve`` mixed-traffic run through the canonical service
   kernel (``run_sequential``, bit-identical to concurrent
-  ``SolverService`` execution by the service's determinism contract).
+  ``SolverService`` execution by the service's determinism contract);
+- one noisy mixed 1-/2-stage serve run (op-amp output and S&H noise,
+  plus an MNA slice), which pins the per-request noise streams, the
+  warm-up draws of fresh cache entries, and gain-ranging reruns.
 
 Intentional numerical changes regenerate the fixtures with::
 
@@ -28,6 +31,7 @@ platforms via ``GOLDEN_STRICT``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -64,6 +68,10 @@ TRAFFIC_SEED = 123
 TWOSTAGE_SIZES = (8, 11, 16)
 TWOSTAGE_RHS = 4
 TWOSTAGE_SEED = 35
+
+#: Noisy serve run: per-operation op-amp output noise and S&H noise
+#: (volts, against a 1 V full scale) on top of ``paper_variation``.
+NOISE_V = 2e-4
 
 
 def _assert_float_match(actual: np.ndarray, golden: np.ndarray, label: str):
@@ -173,6 +181,52 @@ def _serve_multistage_payload() -> dict[str, np.ndarray]:
     }
 
 
+def _noisy_hardware(**changes) -> HardwareConfig:
+    base = HardwareConfig.paper_variation()
+    return base.with_(
+        opamp=dataclasses.replace(base.opamp, output_noise_sigma_v=NOISE_V),
+        sample_hold=dataclasses.replace(base.sample_hold, noise_sigma_v=NOISE_V),
+        **changes,
+    )
+
+
+def _serve_noisy_payload() -> dict[str, np.ndarray]:
+    """Mixed 1-/2-stage traffic on noisy hardware, with an MNA slice.
+
+    Every working-set matrix starts as a fresh cache entry, so the
+    warm-up solve's offset and noise draws are pinned along with the
+    per-request noise streams and any gain-ranging reruns.
+    """
+    solvers = ("blockamc-1stage", "blockamc-2stage")
+    # Odd sizes split unevenly, so the upper and lower op-amp columns
+    # (and the tile rows of a two-stage tree) draw their offsets at
+    # different stream positions, between per-operation noise draws.
+    noisy = mixed_traffic(
+        16, unique_matrices=4, sizes=(13, 22, 31), solvers=solvers,
+        seed=TRAFFIC_SEED + 2,
+    )
+    mna = mixed_traffic(
+        8, unique_matrices=2, sizes=(13, 15), solvers=solvers,
+        seed=TRAFFIC_SEED + 3,
+    )
+    requests = [
+        dataclasses.replace(r, hardware=_noisy_hardware()) for r in noisy
+    ] + [dataclasses.replace(r, hardware=_noisy_hardware(use_mna=True)) for r in mna]
+    results, _ = run_sequential(requests, ServiceConfig())
+    return {
+        "solver": np.array([r.solver for r in results]),
+        "lengths": np.array([r.x.size for r in results]),
+        "x": np.concatenate([r.x for r in results]),
+        "reference": np.concatenate([r.reference for r in results]),
+        "relative_error": np.array([r.relative_error for r in results]),
+        # One-stage results only: the multi-stage tree ranges per node.
+        "input_scale": np.array(
+            [r.metadata["input_scale"] for r in results if "input_scale" in r.metadata]
+        ),
+        "saturated": np.array([r.saturated for r in results]),
+    }
+
+
 class TestFig7Golden:
     def test_sweep_matches_golden(self, regen_goldens):
         _check_or_regen(
@@ -211,5 +265,14 @@ class TestTwoStageGolden:
         _check_or_regen(
             _serve_multistage_payload(),
             GOLDEN_DIR / "serve_multistage_traffic.npz",
+            regen_goldens,
+        )
+
+
+class TestServeNoisyGolden:
+    def test_noisy_traffic_matches_golden(self, regen_goldens):
+        _check_or_regen(
+            _serve_noisy_payload(),
+            GOLDEN_DIR / "serve_noisy_traffic.npz",
             regen_goldens,
         )

@@ -3,12 +3,15 @@
 ``repro.core.common`` is the single implementation of the analog solve
 physics; three call-path shapes consume it:
 
-- **scalar** — ``AMCOperations`` / ``PreparedBlockAMC.solve`` /
-  ``PreparedOriginalAMC.solve`` (one vector at a time);
+- **scalar** — ``AMCOperations`` / ``BlockAMCMacro.solve`` /
+  ``PreparedOriginalAMC.solve`` (one vector at a time), and the scalar
+  oracle of the prepared BlockAMC solvers built on them
+  (:mod:`oracles.scalar`);
 - **trial-batched** — ``repro.core.batched`` (stacked ``(trials, n, n)``
   Monte-Carlo tensors);
-- **multi-RHS** — ``PreparedBlockAMC.solve_many`` (one programmed macro,
-  row-stacked right-hand sides).
+- **multi-RHS** — ``PreparedBlockAMC.solve_many`` and
+  ``PreparedMultiStage.solve_many`` (one programmed macro or tree,
+  row-stacked right-hand sides); a prepared ``solve`` is a batch of one.
 
 This suite *proves* the consolidation: for every configuration the
 batched engines support, the three shapes must produce **bit-identical**
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.batched as batched_module
+from oracles.scalar import oracle_solve
 from repro.amc.config import (
     ConverterConfig,
     HardwareConfig,
@@ -465,7 +469,7 @@ class TestScalarVsTrialBatched:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: scalar loop vs multi-RHS solve_many
+# end-to-end: scalar oracle loop vs multi-RHS solve_many
 # ----------------------------------------------------------------------
 
 
@@ -481,7 +485,7 @@ class TestScalarVsMultiRHS:
         rhs = [random_vector(17, rng=i + 1) for i in range(rhs_count)]
         sequential_prep = BlockAMCSolver(config).prepare(matrix, rng=5)
         gen = np.random.default_rng(9)
-        sequential = [sequential_prep.solve(b, gen) for b in rhs]
+        sequential = [oracle_solve(sequential_prep, b, gen) for b in rhs]
         batched_prep = BlockAMCSolver(config).prepare(matrix, rng=5)
         batched = batched_prep.solve_many(rhs, np.random.default_rng(9))
         for s, b in zip(sequential, batched):
@@ -494,7 +498,7 @@ class TestScalarVsMultiRHS:
         rhs = [random_vector(14, rng=i) for i in range(4)]
         prep_a = BlockAMCSolver(config).prepare(matrix, rng=5)
         gen = np.random.default_rng(9)
-        sequential = [prep_a.solve(b, gen) for b in rhs]
+        sequential = [oracle_solve(prep_a, b, gen) for b in rhs]
         prep_b = BlockAMCSolver(config).prepare(matrix, rng=5)
         batched = prep_b.solve_many(rhs, np.random.default_rng(9))
         k0 = input_voltage_scale_many(np.stack(rhs), config.converters.v_fs)
@@ -683,7 +687,7 @@ class TestFgmresManyEquivalence:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: multi-stage solve_many vs the sequential solve loop
+# end-to-end: multi-stage solve_many vs the scalar oracle loop
 # ----------------------------------------------------------------------
 
 
@@ -708,8 +712,9 @@ def _multistage_results_exactly_equal(s, b):
         )
 
 
-#: Configurations the batched multi-stage recursion executes directly,
-#: plus the fresh-noise / MNA ones that must fall back transparently.
+#: Configurations the multi-stage recursion batches across columns,
+#: plus the fresh-noise ones it runs batch-of-1 per column (one shared
+#: generator must replay the sequential stream).
 MULTISTAGE_BATCHED_CONFIGS = [
     "ideal", "variation", "interconnect", "exact_parasitics",
     "coarse_quant", "saturating", "snh_gain_error",
@@ -725,7 +730,7 @@ class TestScalarVsMultiStageMany:
             matrix, rng=prep_seed
         )
         gen = np.random.default_rng(solve_seed)
-        sequential = [sequential_prep.solve(b, gen) for b in rhs]
+        sequential = [oracle_solve(sequential_prep, b, gen) for b in rhs]
         batched_prep = MultiStageSolver(config, stages=stages).prepare(
             matrix, rng=prep_seed
         )
@@ -742,12 +747,13 @@ class TestScalarVsMultiStageMany:
 
     @pytest.mark.parametrize("config_name", MULTISTAGE_FALLBACK_CONFIGS)
     def test_noise_configs_fall_back_bit_identical(self, config_name):
-        """Per-operation-noise configs transparently loop the scalar path
-        with the shared generator — still bit-identical to the loop."""
+        """Per-operation-noise configs run the engine batch-of-1 per
+        column with the shared generator — bit-identical to the loop."""
         matrix = MATRIX_FAMILIES["wishart"](12, np.random.default_rng(2))
         self._compare(CONFIGS[config_name], matrix, rhs_count=3)
 
     def test_mna_config_falls_back_bit_identical(self):
+        """MNA configs batch too: each column solves the assembled netlist."""
         config = HardwareConfig.paper_variation().with_(use_mna=True)
         matrix = MATRIX_FAMILIES["dominant"](8, np.random.default_rng(4))
         self._compare(config, matrix, rhs_count=2)
@@ -761,13 +767,13 @@ class TestScalarVsMultiStageMany:
 
     def test_direct_inv_fallback_nodes(self):
         """Deep partitioning of a tiny system reaches the 1x1 direct-INV
-        terminal nodes in both the scalar and the batched recursion."""
+        terminal nodes in both the oracle and the batched recursion."""
         config = CONFIGS["variation"]
         matrix = MATRIX_FAMILIES["dominant"](4, np.random.default_rng(8))
         self._compare(config, matrix, rhs_count=3, stages=3)
 
     def test_lean_fallback_path(self):
-        """lean=True composes with the noise fallback loop."""
+        """lean=True composes with the per-column noise loop."""
         config = CONFIGS["output_noise"]
         matrix = MATRIX_FAMILIES["wishart"](12, np.random.default_rng(5))
         rhs = [random_vector(12, rng=i) for i in range(3)]
@@ -831,13 +837,13 @@ class TestScalarVsMultiStageMany:
             assert l.metadata == {}
 
     def test_interleaved_scalar_and_batched_share_offsets(self):
-        """Quasi-static offsets drawn by either path are shared by the
-        other — exactly like repeated scalar solves on one tree."""
+        """Quasi-static offsets drawn by the oracle are the tree's own:
+        later engine solves see them, exactly like repeated solves."""
         config = CONFIGS["variation"]
         matrix = MATRIX_FAMILIES["wishart"](16, np.random.default_rng(9))
         b = random_vector(16, rng=1)
         prep = MultiStageSolver(config, stages=2).prepare(matrix, rng=5)
-        warm = prep.solve(b, np.random.default_rng(0))  # draws all offsets
+        warm = oracle_solve(prep, b, np.random.default_rng(0))  # draws all offsets
         (batched,) = prep.solve_many([b], np.random.default_rng(123))
         again = prep.solve(b, np.random.default_rng(456))
         assert np.array_equal(warm.x, batched.x)
@@ -1019,13 +1025,27 @@ class TestFloat32Tier:
         )
         _records_exactly_equal(seq, bat)
 
+    def test_snh_noise_trials_bit_identical_within_tier(self):
+        """Noisy S&H hands float64 voltages to the next op, which casts
+        them to the tier — the trial-batched engine must do the same
+        (casting the held voltages back first rounds twice)."""
+        config = _f32(CONFIGS["snh_noise"])
+        factory = MATRIX_FAMILIES["wishart"]
+        seq = run_trials(
+            {"block": lambda: BlockAMCSolver(config)}, factory, (6, 10, 16), 4, seed=70
+        )
+        bat = run_trials_batched(
+            {"block": BlockAMCSolver(config)}, factory, (6, 10, 16), 4, seed=70
+        )
+        _records_exactly_equal(seq, bat)
+
     def test_solve_many_bit_identical_within_tier(self):
         config = _f32(CONFIGS["variation"])
         matrix = wishart_matrix(12, rng=0)
         rhs = [random_vector(12, rng=i + 1) for i in range(4)]
         prep_seq = BlockAMCSolver(config).prepare(matrix, rng=5)
         gen = np.random.default_rng(9)
-        sequential = [prep_seq.solve(b, gen) for b in rhs]
+        sequential = [oracle_solve(prep_seq, b, gen) for b in rhs]
         prep_many = BlockAMCSolver(config).prepare(matrix, rng=5)
         batched = prep_many.solve_many(rhs, np.random.default_rng(9))
         for s, b in zip(sequential, batched):

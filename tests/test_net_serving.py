@@ -505,6 +505,71 @@ class TestNetChaos:
 # ----------------------------------------------------------------------
 
 
+class TestWorkerState:
+    """The worker's per-process state, driven in-process (no fork)."""
+
+    @staticmethod
+    def _serve(state, item):
+        import queue
+
+        from repro.serve.net.workers import WorkDone, _admit, _serve_key
+
+        responses = queue.Queue()
+        _admit(state, item, responses)
+        _serve_key(state, state.batcher.next_key(), queue.Queue(), responses)
+        while not responses.empty():
+            message = responses.get()
+            if isinstance(message, WorkDone):
+                AttachedBlock(message.block).release()
+
+    def test_breaker_map_stays_bounded_by_the_cache(self):
+        """3 x capacity distinct keys through one worker: closed breakers
+        of evicted keys are dropped, the open one is kept."""
+        from repro.serve import matrix_digest
+        from repro.serve.net.workers import WorkItem, _WorkerState
+
+        capacity = 4
+        state = _WorkerState(
+            ServiceConfig(
+                cache_capacity=capacity,
+                max_linger_s=0.0,
+                resilience=ResiliencePolicy(breaker_threshold=1, breaker_reset_s=60.0),
+            )
+        )
+        zeros = np.zeros((6, 6))  # cannot be normalized: prepare fails
+        self._serve(state, WorkItem(0, matrix_digest(zeros), np.ones(6), matrix=zeros))
+        for i in range(3 * capacity):
+            matrix = np.eye(6) + 0.1 * np.random.default_rng(i).random((6, 6))
+            self._serve(
+                state, WorkItem(i + 1, matrix_digest(matrix), np.ones(6), matrix=matrix)
+            )
+        states = [breaker.state for breaker in state.breakers.values()]
+        assert states.count("open") == 1
+        non_closed = sum(s != "closed" for s in states)
+        assert len(state.breakers) <= capacity + non_closed
+
+    def test_hot_digest_survives_cold_inserts(self):
+        """The matrix stash is LRU: naming a resident digest refreshes it."""
+        import queue
+
+        from repro.serve.net.workers import WorkItem, _admit, _WorkerState
+
+        state = _WorkerState(ServiceConfig())
+        responses = queue.Queue()
+        hot = np.eye(4)
+        _admit(state, WorkItem(0, "hot", np.ones(4), matrix=hot), responses)
+        for i in range(state.matrix_capacity + 1):
+            _admit(state, WorkItem(2 * i + 1, f"cold{i}", np.ones(4), matrix=hot), responses)
+            _admit(state, WorkItem(2 * i + 2, "hot", np.ones(4)), responses)
+        assert "hot" in state.matrices
+        assert "cold0" not in state.matrices
+        assert len(state.matrices) == state.matrix_capacity
+        # A re-sent payload refreshes recency too.
+        _admit(state, WorkItem(-1, "cold5", np.ones(4), matrix=hot), responses)
+        assert next(reversed(state.matrices)) == "cold5"
+        assert responses.empty()  # nothing was refused
+
+
 class TestWireDtypes:
     """Regression: the codec carried raw bytes but decoded every blob as
     float64 — a float32 solution either crashed reshape (half the bytes)

@@ -160,6 +160,30 @@ class TestTracerCore:
         names = [r["name"] for r in tracer.spans()]
         assert names == ["s6", "s7", "s8", "s9"]
 
+    def test_forked_child_reconfigures_while_parent_lock_is_held(self, tmp_path):
+        """A worker forked while a parent thread records a span inherits
+        the tracer lock held; reconfiguring must not wait on it."""
+        import time
+
+        tracer = obs.configure(trace_dir=tmp_path)
+        tracer._lock.acquire()  # a parent thread mid-record at fork time
+        try:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                obs.configure(trace_dir=tmp_path)
+                obs.disable()
+                os._exit(0)
+            deadline = time.monotonic() + 10.0
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(pid, 9)
+                    os.waitpid(pid, 0)
+                    pytest.fail("child deadlocked on the inherited tracer lock")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(done[1]) == 0
+        finally:
+            tracer._lock.release()
+
     def test_jsonl_file_per_pid(self, tmp_path):
         tracer = obs.configure(trace_dir=tmp_path)
         tracer.start_span("a").end()

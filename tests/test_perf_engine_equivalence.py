@@ -10,7 +10,8 @@ implementation alive; these tests pin the new paths to those references:
 - batched variation draws vs. sequential draws from the same generator
   (bit-exact stream splitting);
 - ``run_trials_batched`` vs. ``run_trials`` (1e-10 on every record);
-- ``PreparedBlockAMC.solve_many`` vs. a sequential ``solve`` loop.
+- ``PreparedBlockAMC.solve_many`` vs. a loop of scalar oracle solves
+  (:mod:`oracles.scalar`).
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.scalar import oracle_solve
 from repro.amc.config import HardwareConfig
 from repro.analysis.accuracy import run_trials, run_trials_batched
 from repro.circuits.generators import build_inv_circuit, build_mvm_circuit
@@ -397,7 +399,7 @@ class TestSolveMany:
         rhs = [random_vector(17, rng=i + 1) for i in range(5)]
         sequential_prep = BlockAMCSolver(config).prepare(matrix, rng=5)
         gen = np.random.default_rng(9)
-        sequential = [sequential_prep.solve(b, gen) for b in rhs]
+        sequential = [oracle_solve(sequential_prep, b, gen) for b in rhs]
         batched_prep = BlockAMCSolver(config).prepare(matrix, rng=5)
         batched = batched_prep.solve_many(rhs, np.random.default_rng(9))
         for s, b in zip(sequential, batched):

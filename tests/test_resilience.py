@@ -408,6 +408,32 @@ class TestBreakerEndToEnd:
         assert metrics.breaker_transitions == 3
         assert metrics.requests_rejected >= 1
 
+    def test_breaker_map_stays_bounded_by_the_cache(self, flaky_kind):
+        """3 x capacity distinct keys through one shard: closed breakers of
+        evicted keys are dropped, the open one is kept."""
+        capacity = 4
+        config = ServiceConfig(
+            workers=1,
+            max_linger_s=0.0,
+            cache_capacity=capacity,
+            resilience=ResiliencePolicy(breaker_threshold=1, breaker_reset_s=60.0),
+        )
+        flaky = wishart_matrix(6, rng=0)
+        with SolverService(config) as service:
+            service.submit(flaky, np.ones(6), solver="flaky-test").result(timeout=30)
+            flaky_kind.set()
+            failed = service.submit(flaky, np.ones(6), solver="flaky-test")
+            assert isinstance(failed.exception(timeout=30), SolverError)
+            flaky_kind.clear()
+            for i in range(3 * capacity):
+                matrix = wishart_matrix(6, rng=100 + i)
+                service.submit(matrix, np.ones(6)).result(timeout=30)
+            breakers = dict(service._shards[0].breakers)
+        states = [breaker.state for breaker in breakers.values()]
+        assert states.count("open") == 1
+        non_closed = sum(state != "closed" for state in states)
+        assert len(breakers) <= capacity + non_closed
+
     def test_breaker_disabled_never_rejects(self, flaky_kind):
         fail = flaky_kind
         config = ServiceConfig(
