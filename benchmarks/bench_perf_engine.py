@@ -18,6 +18,9 @@ The noisy-config entries time what a single ``solve`` costs now that it
 is a batch of one on the cached engines: the oracle loop vs. batch-of-1
 solves, and a serving cache miss (programming plus warm-up solve).
 
+The two-stage trials entry times the Fig. 9 two-stage curve: per-trial
+``run_trials`` vs. the stacked solver tree of ``run_trials_batched``.
+
 Every comparison first asserts numerical equivalence (1e-10) so a
 "speedup" can never come from computing something different.
 """
@@ -78,6 +81,9 @@ MIN_BATCH_OF_1_SPEEDUP = 1.5
 MIN_MISS_SPEEDUP = 1.2
 #: Per-operation noise (volts vs a 1 V full scale) of the noisy entries.
 NOISE_V = 2e-4
+#: Two-stage Monte-Carlo trials: per-trial sweep vs the stacked solver
+#: tree (measured 5.4-6.8x at merge).
+MIN_TWOSTAGE_TRIALS_SPEEDUP = 3.5
 
 _report = PerfReport()
 
@@ -593,6 +599,59 @@ def test_noisy_prepare_entry_miss_64x64(report):
         ),
     )
     assert speedup >= MIN_MISS_SPEEDUP
+
+
+def test_twostage_trials_batched_16trials(report):
+    """The Fig. 9 two-stage curve: 16 trials each at n = 32 and 64.
+
+    The per-trial sweep prepares and solves every trial's tree on its
+    own; ``run_trials_batched`` runs all trials of a size through one
+    stacked tree. Records are asserted equal before timing.
+    """
+    solver = MultiStageSolver(HardwareConfig.paper_interconnect(), stages=2)
+    sizes, trials = (32, 64), 16
+
+    def per_trial():
+        return run_trials(
+            {"blockamc-2stage": lambda: solver},
+            lambda n, rng: wishart_matrix(n, rng),
+            sizes,
+            trials,
+            seed=90,
+        )
+
+    def batched():
+        return run_trials_batched(
+            {"blockamc-2stage": solver},
+            lambda n, rng: wishart_matrix(n, rng),
+            sizes,
+            trials,
+            seed=90,
+        )
+
+    assert per_trial() == batched()
+
+    old_s = time_call(per_trial, repeats=3)
+    new_s = time_call(batched, repeats=3)
+    speedup = _report.add(
+        "twostage_trials_batched_16trials",
+        old_s,
+        new_s,
+        detail=(
+            f"two-stage paper_interconnect Wishart sweep, sizes={sizes}, "
+            f"trials={trials}: per-trial run_trials vs run_trials_batched "
+            "(records asserted ==)"
+        ),
+    )
+    report(
+        "perf_twostage_trials",
+        format_table(
+            ["path", "ms"],
+            [["run_trials (per trial)", old_s * 1e3], ["run_trials_batched", new_s * 1e3]],
+            title=f"two-stage trials, 16 per size — {speedup:.1f}x",
+        ),
+    )
+    assert speedup >= MIN_TWOSTAGE_TRIALS_SPEEDUP
 
 
 def test_write_artifact():

@@ -1,10 +1,11 @@
 """The reconfigurable BlockAMC macro.
 
 A :class:`BlockAMCMacro` owns the four crossbar arrays of one partition
-level (``A1``, ``A2``, ``A3``, ``A4s``), one shared op-amp column, the
-DAC/ADC interfaces, and two S&H banks. :meth:`BlockAMCMacro.solve` runs
-the paper's five-step schedule in the analog voltage domain, cascading
-intermediates through the S&H banks exactly as Fig. 4 describes:
+level (``A1``, ``A2``, ``A3``, ``A4s``) and one shared op-amp column
+(:class:`~repro.amc.ops.AMCOperations`, whose offsets every step
+shares). The paper's five-step schedule runs in the analog voltage
+domain, cascading intermediates through two S&H banks exactly as
+Fig. 4 describes:
 
     step 1  INV(A1,  f)          -> -y_t        (S&H)
     step 2  MVM(A3, -y_t)        ->  g_t        (S&H)
@@ -14,6 +15,8 @@ intermediates through the S&H banks exactly as Fig. 4 describes:
 
 Inputs ``f`` and ``g`` arrive through the DAC; only the step-3 and step-5
 outputs leave through the ADC. All sign bookkeeping follows the paper.
+The schedule's one body is :class:`repro.core.blockamc.BatchedFiveStep`;
+:func:`reference_schedule` gives its exact-arithmetic step outputs.
 """
 
 from __future__ import annotations
@@ -23,14 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.amc.interfaces import ADC, DAC, SampleHold
-from repro.amc.ops import AMCOperations, OpResult
-from repro.amc.scheduler import default_program
+from repro.amc.ops import AMCOperations
 from repro.core.common import contract, factored
 from repro.crossbar.array import CrossbarArray
 from repro.errors import SolverError
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_vector
 
 
 @dataclass(frozen=True)
@@ -88,38 +87,6 @@ class MacroArrays:
         )
 
 
-@dataclass(frozen=True)
-class MacroResult:
-    """Outcome of one macro execution.
-
-    ``x_upper`` / ``x_lower`` are the digital solution halves (ADC
-    output, sign-corrected). ``steps`` holds per-operation telemetry;
-    ``reference_steps`` holds the exact-arithmetic value of each step's
-    output (the paper's "numerical" curves of Fig. 6a), computed from the
-    pre-DAC inputs.
-    """
-
-    x_upper: np.ndarray
-    x_lower: np.ndarray
-    steps: tuple[OpResult, ...]
-    reference_steps: dict[str, np.ndarray]
-
-    @property
-    def solution(self) -> np.ndarray:
-        """Concatenated solution vector."""
-        return np.concatenate([self.x_upper, self.x_lower])
-
-    @property
-    def analog_time_s(self) -> float:
-        """Sum of all analog settling times (serial schedule)."""
-        return float(sum(step.settling_time_s for step in self.steps))
-
-    @property
-    def saturated(self) -> bool:
-        """True when any step clipped at the op-amp rails."""
-        return any(step.saturated for step in self.steps)
-
-
 def reference_schedule(
     a1,
     a2: np.ndarray,
@@ -161,11 +128,6 @@ class BlockAMCMacro:
         self.arrays = arrays
         self.config = config or HardwareConfig.ideal()
         self.ops = AMCOperations(self.config)
-        self.dac = DAC(self.config.converters)
-        self.adc = ADC(self.config.converters)
-        self.snh_out = SampleHold(self.config.sample_hold)
-        self.snh_in = SampleHold(self.config.sample_hold)
-        self.program = default_program()
 
     # ------------------------------------------------------------------
     # resource inventory (for the cost model)
@@ -189,80 +151,3 @@ class BlockAMCMacro:
     def device_count(self) -> int:
         """RRAM cells across all arrays."""
         return self.arrays.device_count
-
-    # ------------------------------------------------------------------
-    # exact-arithmetic reference of every step (Fig. 6a "numerical")
-    # ------------------------------------------------------------------
-    def reference_steps(self, f: np.ndarray, g: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact step outputs for inputs ``f``, ``g`` (with circuit signs)."""
-        return reference_schedule(
-            self.arrays.a1.target.reconstruct_normalized(),
-            self.arrays.a2.target.reconstruct_normalized(),
-            self.arrays.a3.target.reconstruct_normalized(),
-            self.arrays.a4s.target.reconstruct_normalized()
-            / self.arrays.schur_input_scale,
-            f,
-            g,
-        )
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def solve(self, f: np.ndarray, g: np.ndarray, rng=None) -> MacroResult:
-        """Run the five-step BlockAMC schedule for inputs ``f`` and ``g``.
-
-        ``f`` and ``g`` are the upper/lower halves of the known vector in
-        the analog voltage domain (the caller scales the digital ``b``
-        into DAC full scale). Returns the digital solution halves plus
-        full telemetry.
-        """
-        f = check_vector(f, "f", size=self.arrays.upper_size)
-        g = check_vector(g, "g", size=self.arrays.lower_size)
-        rng = as_generator(rng)
-
-        reference = self.reference_steps(f, g)
-
-        # DAC outputs enter the analog voltage domain: cast to the
-        # backend tier (identity on float64) so in-analog sums like
-        # ``h2 - v_g`` happen at the tier's precision, exactly like the
-        # batched engines.
-        cast = self.config.resolve_backend().cast
-        v_f = cast(self.dac.convert(f))
-        v_g = cast(self.dac.convert(g))
-
-        # Step 1: INV with A1 and f -> -y_t.
-        s1 = self.ops.inv(self.arrays.a1, v_f, label="step1:INV(A1)", rng=rng)
-        h1 = self.snh_in.transfer(self.snh_out.transfer(s1.output, rng), rng)
-
-        # Step 2: MVM with A3 and -y_t -> g_t (the minus sign is removed
-        # by the MVM circuit's own inversion).
-        s2 = self.ops.mvm(self.arrays.a3, h1, label="step2:MVM(A3)", rng=rng)
-        h2 = self.snh_in.transfer(self.snh_out.transfer(s2.output, rng), rng)
-
-        # Step 3: INV with A4s and (g_t - g); the summation of -g (DAC)
-        # and g_t (S&H) happens at the INV input conductances.
-        s3 = self.ops.inv(
-            self.arrays.a4s,
-            h2 - v_g,
-            label="step3:INV(A4s)",
-            input_scale=self.arrays.schur_input_scale,
-            rng=rng,
-        )
-        h3 = self.snh_in.transfer(self.snh_out.transfer(s3.output, rng), rng)
-
-        # Step 4: MVM with A2 and z -> -f_t.
-        s4 = self.ops.mvm(self.arrays.a2, h3, label="step4:MVM(A2)", rng=rng)
-        h4 = self.snh_in.transfer(self.snh_out.transfer(s4.output, rng), rng)
-
-        # Step 5: INV with A1 and (f - f_t) -> -y.
-        s5 = self.ops.inv(self.arrays.a1, v_f + h4, label="step5:INV(A1)", rng=rng)
-
-        x_lower = self.adc.convert(s3.output)
-        x_upper = -self.adc.convert(s5.output)
-
-        return MacroResult(
-            x_upper=x_upper,
-            x_lower=x_lower,
-            steps=(s1, s2, s3, s4, s5),
-            reference_steps=reference,
-        )

@@ -7,11 +7,12 @@ them into per-size mean/std series ready for tabulation.
 
 ``run_trials_batched`` produces the *same records* through the
 trial-batched engine of :mod:`repro.core.batched`: per size, all trials
-are stacked into ``(trials, n, n)`` tensors and the whole analog pipeline
-runs through batched linalg. Random draws are bit-identical to
-``run_trials`` (each trial consumes its own hardware generator in the
-sequential order), so record values agree to ~1e-12; solvers the engine
-cannot batch fall back to the sequential path transparently.
+are stacked into ``(trials, n, n)`` tensors and run as one batch through
+the solver trees. Each trial consumes its own hardware generator in the
+sequential order and every step runs the same kernel, so records are
+bit-identical (``==``) to ``run_trials`` within a precision tier;
+solvers or configurations the engine cannot batch fall back to the
+sequential path transparently.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.batched import make_batched_runner
+from repro.core.batched import make_batched_runner, solve_per_trial
 from repro.utils.rng import RngStream
 from repro.workloads.matrices import random_vector
 
@@ -103,20 +104,23 @@ def run_trials_batched(
 ) -> list[AccuracyRecord]:
     """Run the Monte-Carlo sweep through the trial-batched engine.
 
-    Produces the same records as :func:`run_trials` (to ~1e-12; the
-    random samples are bit-identical) at a fraction of the wall clock:
-    per (size, solver) all trials execute as one stack of batched linalg
-    calls instead of ``trials`` sequential pipeline runs.
+    Produces the same records as :func:`run_trials` (``==``, within a
+    precision tier) at a fraction of the wall clock: per (size, solver)
+    all trials execute as one batch through a stacked solver tree
+    instead of ``trials`` sequential pipeline runs.
 
     Parameters
     ----------
     solvers:
         ``{name: solver}`` — solver *instances* (solvers are stateless
         across solves). Instances the batched engine supports
-        (:class:`~repro.core.original.OriginalAMCSolver`, one-stage
-        :class:`~repro.core.blockamc.BlockAMCSolver` with batchable
-        configs) run batched; anything else falls back to per-trial
-        ``solver.solve`` with the identical RNG layout.
+        (:class:`~repro.core.original.OriginalAMCSolver`,
+        :class:`~repro.core.blockamc.BlockAMCSolver` and
+        :class:`~repro.core.multistage.MultiStageSolver`, each with a
+        batchable config — see
+        :func:`repro.core.batched.is_batchable_config`) run batched;
+        anything else falls back to per-trial ``solver.solve`` with the
+        identical RNG layout.
     matrix_factory, sizes, trials, seed, vector_factory:
         As in :func:`run_trials`. The per-trial derivation of matrix,
         right-hand side, and hardware seed from ``seed`` is unchanged,
@@ -142,35 +146,12 @@ def run_trials_batched(
             runner = runners[name]
             if runner is not None:
                 outcomes = runner.run(matrix_stack, vector_stack, seeds)
-                per_solver[name] = [
-                    AccuracyRecord(
-                        solver=name,
-                        size=int(size),
-                        trial=trial,
-                        relative_error=outcome.relative_error,
-                        saturated=outcome.saturated,
-                        analog_time_s=outcome.analog_time_s,
-                    )
-                    for trial, outcome in enumerate(outcomes)
-                ]
             else:
-                per_solver[name] = []
-                for trial in range(trials):
-                    result = solver.solve(
-                        matrix_stack[trial],
-                        vector_stack[trial],
-                        rng=np.random.default_rng(seeds[trial]),
-                    )
-                    per_solver[name].append(
-                        AccuracyRecord(
-                            solver=name,
-                            size=int(size),
-                            trial=trial,
-                            relative_error=result.relative_error,
-                            saturated=result.saturated,
-                            analog_time_s=result.analog_time_s,
-                        )
-                    )
+                outcomes = solve_per_trial(solver, matrix_stack, vector_stack, seeds)
+            per_solver[name] = [
+                AccuracyRecord(name, int(size), trial, **outcome._asdict())
+                for trial, outcome in enumerate(outcomes)
+            ]
         # Emit trial-major (trial, then solver), matching run_trials, so
         # positional consumers can pair the two outputs record for record.
         for trial in range(trials):

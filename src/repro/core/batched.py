@@ -4,80 +4,77 @@ The paper's headline results (Figs. 6-9) re-run the full analog pipeline
 for every (size, trial, solver) triple. Per trial the pipeline is a
 handful of small dense linear-algebra operations, so the sequential sweep
 is dominated by Python and LAPACK call overhead, not arithmetic. This
-module stacks all trials of one size into ``(trials, n, n)`` tensors and
-runs the *entire* pipeline — normalization, Schur preprocessing,
-programming variation, the five-step schedule with gain ranging,
-converter quantization, settling-time eigenvalue analysis, and the
-digital reference solve — through NumPy's batched linalg.
+module runs all trials of one size as one batch, with no schedule of its
+own: :class:`StackedProgramming` programs every trial's arrays at once
+into *stacked* stages (row ``i`` runs through trial ``indices[i]``'s own
+array), and the solver trees of :mod:`repro.core.multistage` — with the
+one five-step body, :class:`~repro.core.blockamc.BatchedFiveStep` — run
+on them. Original AMC is one direct-INV node over the whole matrix,
+one-stage BlockAMC one macro node, and multi-stage BlockAMC the full tree.
 
-Equivalence contract (enforced by tests):
+Equivalence contract (enforced by tests): every trial consumes its own
+``default_rng(hardware_seed)`` in exactly the sequential order —
+programming draws in tree-build order, op-amp offsets at each node's
+first use of a column size, then output and sample-and-hold noise per
+operation and per gain-ranging attempt — and every step runs the shared
+kernel of :mod:`repro.core.common` per slice, so each record is
+**bit-identical** to :func:`repro.analysis.accuracy.run_trials` within a
+precision tier.
 
-- every trial consumes its own ``default_rng(hardware_seed)`` in exactly
-  the order the sequential path does (programming draws, then op-amp
-  offset draws at each column size's first use, then per-operation
-  output-noise and sample-and-hold noise draws in schedule order —
-  fresh per gain-ranging attempt, exactly like the scalar reruns), so
-  all random samples are **bit-identical** to
-  :func:`repro.analysis.accuracy.run_trials`;
-- the physics itself is the shared kernel of :mod:`repro.core.common`
-  (the same functions the scalar path calls, evaluated per-slice through
-  shape-stable contractions and stacked LAPACK), so results are
-  **bit-identical** to the sequential path — not merely close
-  (``tests/test_kernel_equivalence.py`` asserts exact equality).
-
-All three parasitic fidelities are supported: ideal and first-order
-models are shape-generic, and exact extraction routes through
-:func:`repro.crossbar.parasitics.exact_effective_matrix_batch`, whose
-per-trial results are bit-identical to the scalar Schur engine.
-Configurations the batched engine cannot express (MNA routing,
-write-and-verify programming, quantized targets, stuck-at faults) are
-detected by :func:`make_batched_runner` returning ``None``; callers
-fall back to the sequential path.
+All three parasitic fidelities are supported (exact extraction through
+:func:`repro.crossbar.parasitics.exact_effective_matrix_batch`).
+Configurations the engine cannot express (MNA routing, write-and-verify
+programming, quantized targets, stuck-at faults) make
+:func:`make_batched_runner` return ``None``; callers fall back to the
+sequential path. A unit whose trials disagree on which tiles are all
+zero (a zero tile gets no array and makes no programming draw) runs per
+trial.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.amc.interfaces import quantize_voltages
 from repro.circuits.dynamics import DEFAULT_EPSILON
-from repro.core.blockamc import BlockAMCSolver
+from repro.core.blockamc import BatchedFiveStep, BlockAMCSolver, SumTally, _Stage
 from repro.core.common import (
+    FactoredSystem,
     LazyOffsets,
-    NoiseDraws,
-    auto_range_many,
     draw_offsets_batch,
-    input_voltage_scale_many,
-    inv_raw,
+    inv_loading,
+    inv_rhs,
+    inv_system,
     mvm_raw,
-    saturate,
     solve_slices,
 )
+from repro.core.multistage import (
+    MultiStageSolver,
+    _build_node,
+    _DirectInvNode,
+    _MacroNode,
+)
 from repro.core.original import OriginalAMCSolver
+from repro.core.partition import PreparedBlocks
 from repro.crossbar.parasitics import (
     exact_effective_matrix_batch,
     first_order_effective_matrix,
 )
 from repro.devices.variations import GaussianVariation, RelativeGaussianVariation
-from repro.errors import PartitionError, ValidationError
+from repro.errors import MappingError, PartitionError
 
-__all__ = ["TrialOutcome", "make_batched_runner", "is_batchable_config"]
+__all__ = ["TrialOutcome", "is_batchable_config", "make_batched_runner", "solve_per_trial"]
 
 
-class TrialOutcome:
-    """Per-trial scalar outcomes of one batched solve.
+class TrialOutcome(NamedTuple):
+    """What :class:`repro.analysis.accuracy.AccuracyRecord` needs of one trial."""
 
-    Mirrors the fields :class:`repro.analysis.accuracy.AccuracyRecord`
-    needs from a :class:`~repro.core.solution.SolveResult`.
-    """
-
-    __slots__ = ("relative_error", "saturated", "analog_time_s")
-
-    def __init__(self, relative_error: float, saturated: bool, analog_time_s: float):
-        self.relative_error = relative_error
-        self.saturated = saturated
-        self.analog_time_s = analog_time_s
+    relative_error: float
+    saturated: bool
+    analog_time_s: float
 
 
 def is_batchable_config(config: HardwareConfig) -> bool:
@@ -101,20 +98,33 @@ def is_batchable_config(config: HardwareConfig) -> bool:
 def make_batched_runner(solver):
     """Return a batched runner for ``solver``, or ``None`` if unsupported.
 
-    Supported solvers are :class:`~repro.core.original.OriginalAMCSolver`
-    and one-stage :class:`~repro.core.blockamc.BlockAMCSolver` with a
-    batchable :class:`~repro.amc.config.HardwareConfig`. The runner
-    exposes ``run(matrices, bs, hardware_seeds) -> list[TrialOutcome]``.
+    Supported solvers are :class:`~repro.core.original.OriginalAMCSolver`,
+    :class:`~repro.core.blockamc.BlockAMCSolver` and
+    :class:`~repro.core.multistage.MultiStageSolver` (any depth), each
+    with a batchable :class:`~repro.amc.config.HardwareConfig`. The
+    runner exposes ``run(matrices, bs, hardware_seeds) ->
+    list[TrialOutcome]``.
     """
-    if isinstance(solver, OriginalAMCSolver) and is_batchable_config(solver.config):
-        return _BatchedOriginalAMC(solver)
-    if isinstance(solver, BlockAMCSolver) and is_batchable_config(solver.config):
-        return _BatchedBlockAMC(solver)
-    return None
+    if isinstance(solver, OriginalAMCSolver):
+        build = partial(_DirectInvNode, fraction=solver.input_fraction)
+    elif isinstance(solver, BlockAMCSolver):
+        build = partial(
+            _MacroNode, partition=solver.partition, fraction=solver.input_fraction
+        )
+    elif isinstance(solver, MultiStageSolver):
+        build = partial(
+            _build_node, depth_remaining=solver.stages, partition=solver.partition,
+            fraction=solver.input_fraction,
+        )
+    else:
+        return None
+    if not is_batchable_config(solver.config):
+        return None
+    return _TrialsRunner(solver, build)
 
 
 # ----------------------------------------------------------------------
-# shared batched building blocks
+# stacked programming
 # ----------------------------------------------------------------------
 
 
@@ -122,7 +132,7 @@ def _normalize_batch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched :func:`repro.crossbar.mapping.normalize_matrix`."""
     scale = np.max(np.abs(matrices), axis=(1, 2))
     if np.any(scale == 0.0):
-        raise ValidationError("cannot normalize an all-zero matrix")
+        raise MappingError("cannot normalize an all-zero matrix")
     return matrices / scale[:, None, None], scale
 
 
@@ -210,8 +220,7 @@ class _ArrayBatch:
         g_total = g_pos + g_neg
         self.load_row_sums = bk.cast(g_total.sum(axis=2) / g_unit)  # (T, r)
         self.max_row_total = g_total.sum(axis=2).max(axis=1)  # (T,)
-        self.rows = blocks.shape[1]
-        self.cols = blocks.shape[2]
+        self.shape = blocks.shape[1:]
 
     def mvm_settle(self) -> np.ndarray:
         """Batched :func:`repro.circuits.dynamics.mvm_settling_time`."""
@@ -230,135 +239,93 @@ class _ArrayBatch:
         return np.where(margins <= 0.0, np.inf, np.log(1.0 / DEFAULT_EPSILON) * tau)
 
 
-#: The converter model is shape-generic; reuse the single implementation
-#: from amc.interfaces so the quantizer has exactly one definition.
-_quantize_batch = quantize_voltages
+def _rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The active trials' slices (the whole stack, uncopied, when all are)."""
+    return values if indices.size == values.shape[0] else values[indices]
 
 
-class _OpAccumulator:
-    """Per-trial step telemetry (peaks, saturation flags, settle sums).
+class StackedInvStage(_Stage):
+    """An INV array per trial: per-trial settling times and factorizations.
 
-    Gain-ranging reruns re-execute individual trials, and only the
-    accepted attempt's telemetry survives in the sequential path, so
-    :meth:`begin` resets the rerun trials before their steps re-register
-    through :meth:`add_for`.
+    Each trial's finite-gain system is factored once and solved for that
+    trial's rows only, through the same :class:`FactoredSystem` calls a
+    scalar op makes; ``input_scale`` is a float or a per-trial vector
+    (the Schur block's private normalization).
     """
 
-    def __init__(self, trials: int, v_sat: float):
-        self.saturated = np.zeros(trials, dtype=bool)
-        self.settle = np.zeros(trials)
-        self.v_sat = v_sat
+    kind = "inv"
 
-    def begin(self, indices: np.ndarray) -> None:
-        """Start a (re)run attempt for the trial subset ``indices``."""
-        self.saturated[indices] = False
-        self.settle[indices] = 0.0
+    def __init__(self, array: _ArrayBatch, config: HardwareConfig, input_scale=1.0):
+        super().__init__(config)
+        self.array = array
+        self.settle = array.inv_settle()
+        trials = self.settle.shape[0]
+        self.input_scale = np.broadcast_to(np.asarray(input_scale, dtype=float), (trials,))
+        self.loading = inv_loading(array.load_row_sums, self.input_scale)
+        systems = inv_system(array.effective, self.loading, config.opamp.open_loop_gain)
+        self.systems = [FactoredSystem(system) for system in systems]
 
-    def add_for(self, indices: np.ndarray, raw: np.ndarray, settle) -> np.ndarray:
-        """Register one step's raw outputs; returns the (clipped) outputs."""
-        out, clipped = saturate(raw, self.v_sat)
-        self.saturated[indices] |= clipped
-        self.settle[indices] = self.settle[indices] + settle
+    def raw(self, v_in, offsets, indices):
+        rhs = inv_rhs(
+            self.cast(v_in),
+            _rows(self.loading, indices),
+            self.cast(offsets),
+            _rows(self.input_scale, indices),
+        )
+        out = np.empty_like(rhs)
+        for row, t in enumerate(indices):
+            out[row] = self.systems[t].solve(rhs[row])
         return out
 
 
-def _per_trial_offsets(sigma: float, rngs) -> LazyOffsets:
-    """Each trial's own offset columns, drawn from its generator at first use.
+class StackedMvmStage(_Stage):
+    """An MVM array per trial: stacked effective matrices and row loads."""
 
-    The first ranging attempt covers all trials, so each size's draw
-    happens exactly once per trial, at the stream position where the
-    scalar schedule first uses that column size.
+    kind = "mvm"
+
+    def __init__(self, array: _ArrayBatch, config: HardwareConfig):
+        super().__init__(config)
+        self.array = array
+        self.a0 = config.opamp.open_loop_gain
+        self.settle = array.mvm_settle()
+
+    def raw(self, v_in, offsets, indices):
+        array = self.array
+        return mvm_raw(
+            _rows(array.effective, indices),
+            _rows(array.load_row_sums, indices),
+            self.cast(v_in),
+            self.cast(offsets),
+            self.a0,
+        )
+
+
+class _ZeroTilesDiffer(Exception):
+    """The trials disagree on which tiles are all zero (run them per trial)."""
+
+
+class StackedProgramming:
+    """Programs every trial's solver tree at once: stacked stages.
+
+    The stacked implementation of the programming protocol of
+    :class:`repro.core.blockamc.Programming`. Blocks are ``(trials, r,
+    c)`` stacks; normalization and the Schur preprocessing run per
+    slice with the scalar arithmetic; each array position is programmed
+    for every trial from that trial's own generator, in tree-build
+    order; and each node's op-amp offsets are drawn per trial at the
+    node's first use of a column size and kept across its visits.
     """
-    return LazyOffsets(lambda size: draw_offsets_batch(sigma, [size], rngs)[size])
 
+    def __init__(self, config: HardwareConfig, rngs):
+        self.config = config
+        self.rngs = rngs
 
-def _relative_errors(
-    matrices: np.ndarray, bs: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """Batched paper Eq. 6 error against the digital reference solve.
+    normalize = staticmethod(_normalize_batch)
 
-    References go through the kernel's per-slice solve so each trial's
-    reference is bit-identical to the scalar path's.
-    """
-    reference = solve_slices(matrices, bs, what="system matrix")
-    return np.sum(np.abs(xs - reference), axis=1) / np.sum(np.abs(reference), axis=1)
-
-
-# ----------------------------------------------------------------------
-# solver-specific runners
-# ----------------------------------------------------------------------
-
-
-class _BatchedOriginalAMC:
-    """All trials of the monolithic INV solver in stacked linalg."""
-
-    def __init__(self, solver: OriginalAMCSolver):
-        self.config = solver.config
-        self.input_fraction = solver.input_fraction
-
-    def run(self, matrices: np.ndarray, bs: np.ndarray, hardware_seeds) -> list:
-        config = self.config
-        rngs = [np.random.default_rng(seed) for seed in hardware_seeds]
-        trials, n = bs.shape
-        normalized, scale = _normalize_batch(matrices)
-        array = _ArrayBatch(normalized, config, rngs)
-        offsets = _per_trial_offsets(config.opamp.input_offset_sigma_v, rngs)
-        noise = NoiseDraws(rngs, config)
-        inv_settle = array.inv_settle()
-
-        conv = config.converters
-        v_fs = conv.v_fs
-        v_sat = config.opamp.v_sat
-        acc = _OpAccumulator(trials, v_sat)
-        a0 = config.opamp.open_loop_gain
-        cast = config.resolve_backend().cast
-
-        def run_subset(k, indices):
-            acc.begin(indices)
-            sub = _ArrayView(array, indices)
-            v_in = cast(_quantize_batch(k[:, None] * bs[indices], conv.dac_bits, v_fs))
-            raw = noise.output(
-                indices,
-                inv_raw(
-                    sub.effective,
-                    sub.load_row_sums,
-                    v_in,
-                    cast(offsets.take(n, indices)),
-                    1.0,
-                    a0,
-                ),
-            )
-            out = acc.add_for(indices, raw, inv_settle[indices])
-            peaks = np.max(np.abs(out), axis=1)
-            return peaks, {"out": out}
-
-        k0 = input_voltage_scale_many(bs, v_fs, self.input_fraction)
-        final, k = auto_range_many(run_subset, k0, v_fs)
-
-        x = -_quantize_batch(final["out"], conv.adc_bits, v_fs) / cast(k * scale)[:, None]
-        errors = _relative_errors(matrices, bs, x)
-        return [
-            TrialOutcome(float(errors[t]), bool(acc.saturated[t]), float(acc.settle[t]))
-            for t in range(trials)
-        ]
-
-
-class _BatchedBlockAMC:
-    """All trials of the one-stage BlockAMC schedule in stacked linalg."""
-
-    def __init__(self, solver: BlockAMCSolver):
-        self.config = solver.config
-        self.partition = solver.partition
-        self.input_fraction = solver.input_fraction
-
-    def run(self, matrices: np.ndarray, bs: np.ndarray, hardware_seeds) -> list:
-        config = self.config
-        rngs = [np.random.default_rng(seed) for seed in hardware_seeds]
-        trials, n = bs.shape
-        normalized, scale = _normalize_batch(matrices)
-
-        # Digital Schur preprocessing (prepare_blocks, batched).
-        split = self.partition.resolve(n)
+    @staticmethod
+    def prepare(normalized: np.ndarray, partition) -> PreparedBlocks:
+        """Batched :func:`repro.core.partition.prepare_blocks`."""
+        split = partition.resolve(normalized.shape[-1])
         a1 = normalized[:, :split, :split]
         a2 = normalized[:, :split, split:]
         a3 = normalized[:, split:, :split]
@@ -366,134 +333,107 @@ class _BatchedBlockAMC:
         try:
             a4s = a4 - a3 @ np.linalg.solve(a1, a2)
         except np.linalg.LinAlgError as exc:
-            raise PartitionError(f"leading block A1 is singular: {exc}") from exc
-        peak_a4s = np.max(np.abs(a4s), axis=(1, 2))
-        if np.any(peak_a4s == 0.0):
-            raise PartitionError("Schur complement is identically zero")
-        schur_scale = np.maximum(1.0, peak_a4s)
-        schur_input_scale = 1.0 / schur_scale
+            raise PartitionError(
+                "leading block A1 is singular; choose another split"
+            ) from exc
+        peak = np.max(np.abs(a4s), axis=(1, 2))
+        if np.any(peak == 0.0):
+            raise PartitionError("Schur complement is identically zero; system is singular")
+        return PreparedBlocks(
+            a1=a1, a2=a2, a3=a3, a4s=a4s, split=split, schur_scale=np.maximum(1.0, peak)
+        )
 
-        # Programming order matches build_macro_arrays: a1, a2, a3, a4s.
-        arr1 = _ArrayBatch(a1, config, rngs)
-        arr2 = _ArrayBatch(a2, config, rngs)
-        arr3 = _ArrayBatch(a3, config, rngs)
-        arr4s = _ArrayBatch(a4s / schur_scale[:, None, None], config, rngs)
+    def program(self, blocks: np.ndarray) -> _ArrayBatch:
+        return _ArrayBatch(blocks, self.config, self.rngs)
 
-        k_size, m_size = split, n - split
-        # Offsets draw lazily in first-use order — step 1 (size k),
-        # step 2 (size m) — so per-operation noise draws interleave at
-        # the same stream positions as the scalar schedule.
-        offsets = _per_trial_offsets(config.opamp.input_offset_sigma_v, rngs)
-        noise = NoiseDraws(rngs, config)
+    @staticmethod
+    def nonzero(tiles: np.ndarray) -> bool:
+        """True when every trial's tile is non-zero, False when none is.
 
-        settle1 = arr1.inv_settle()
-        settle2 = arr3.mvm_settle()
-        settle3 = arr4s.inv_settle()
-        settle4 = arr2.mvm_settle()
+        Trials that disagree raise :class:`_ZeroTilesDiffer`: a zero
+        tile makes no programming draw, so their streams diverge.
+        """
+        per_trial = np.any(tiles, axis=(1, 2))
+        if per_trial.all() or not per_trial.any():
+            return bool(per_trial.all())
+        raise _ZeroTilesDiffer
 
-        conv = config.converters
-        v_fs = conv.v_fs
-        v_sat = config.opamp.v_sat
-        acc = _OpAccumulator(trials, v_sat)
-        a0 = config.opamp.open_loop_gain
-        cast = config.resolve_backend().cast
+    def inv(self, ops, array: _ArrayBatch, input_scale=1.0) -> StackedInvStage:
+        return StackedInvStage(array, self.config, input_scale)
 
-        def run_subset(k, indices):
-            acc.begin(indices)
-            f = k[:, None] * bs[indices, :split]
-            g = k[:, None] * bs[indices, split:]
-            v_f = cast(_quantize_batch(f, conv.dac_bits, v_fs))
-            v_g = cast(_quantize_batch(g, conv.dac_bits, v_fs))
+    def mvm(self, ops, array: _ArrayBatch) -> StackedMvmStage:
+        return StackedMvmStage(array, self.config)
 
-            def view(arr):
-                return _ArrayView(arr, indices)
+    def offsets(self, ops):
+        """``rngs -> LazyOffsets``: one node's per-trial offset columns.
 
-            a1, a2, a3, a4s = view(arr1), view(arr2), view(arr3), view(arr4s)
-            # Stream order per trial matches the scalar schedule exactly:
-            # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
-            # Every op input is cast to the tier like the scalar ops do
-            # (noisy S&H hands back float64 there too).
-            off_k = cast(offsets.take(k_size, indices))
-            s1 = acc.add_for(
-                indices,
-                noise.output(
-                    indices,
-                    inv_raw(a1.effective, a1.load_row_sums, v_f, off_k, 1.0, a0),
-                ),
-                settle1[indices],
-            )
-            h1 = noise.snh_pair(indices, s1)
-            off_m = cast(offsets.take(m_size, indices))
-            s2 = acc.add_for(
-                indices,
-                noise.output(
-                    indices,
-                    mvm_raw(a3.effective, a3.load_row_sums, cast(h1), off_m, a0),
-                ),
-                settle2[indices],
-            )
-            h2 = noise.snh_pair(indices, s2)
-            s3 = acc.add_for(
-                indices,
-                noise.output(
-                    indices,
-                    inv_raw(
-                        a4s.effective,
-                        a4s.load_row_sums,
-                        cast(h2 - v_g),
-                        off_m,
-                        schur_input_scale[indices],
-                        a0,
-                    ),
-                ),
-                settle3[indices],
-            )
-            h3 = noise.snh_pair(indices, s3)
-            s4 = acc.add_for(
-                indices,
-                noise.output(
-                    indices,
-                    mvm_raw(a2.effective, a2.load_row_sums, cast(h3), off_k, a0),
-                ),
-                settle4[indices],
-            )
-            h4 = noise.snh_pair(indices, s4)
-            s5 = acc.add_for(
-                indices,
-                noise.output(
-                    indices,
-                    inv_raw(
-                        a1.effective, a1.load_row_sums, cast(v_f + h4), off_k, 1.0, a0
-                    ),
-                ),
-                settle1[indices],
-            )
-            peaks = np.max(
-                np.abs(np.concatenate([s1, s2, s3, s4, s5], axis=1)), axis=1
-            )
-            x_lower = _quantize_batch(s3, conv.adc_bits, v_fs)
-            x_upper = -_quantize_batch(s5, conv.adc_bits, v_fs)
-            return peaks, {"x": np.concatenate([x_upper, x_lower], axis=1)}
+        The node keeps them across its visits. The first ranging attempt
+        covers all trials, so each size's draw happens exactly once per
+        trial, where the scalar schedule first uses that column size.
+        """
+        sigma, rngs = self.config.opamp.input_offset_sigma_v, self.rngs
+        columns = LazyOffsets(lambda size: draw_offsets_batch(sigma, [size], rngs)[size])
+        return lambda _rngs: columns
 
-        k0 = input_voltage_scale_many(bs, v_fs, self.input_fraction)
-        final, k = auto_range_many(run_subset, k0, v_fs)
+    def macro(self, blocks: PreparedBlocks) -> tuple[None, BatchedFiveStep]:
+        """Program a macro's four arrays (a1, a2, a3, a4s) per trial."""
+        schur_scale = blocks.schur_scale
+        arrays = [self.program(block) for block in (blocks.a1, blocks.a2, blocks.a3)]
+        a4s = self.program(blocks.a4s / schur_scale[:, None, None])
+        return None, BatchedFiveStep(self, None, *arrays, a4s, 1.0 / schur_scale)
 
-        x = final["x"] / cast(k * scale)[:, None]
-        errors = _relative_errors(matrices, bs, x)
+
+# ----------------------------------------------------------------------
+# the runner
+# ----------------------------------------------------------------------
+
+
+class _TrialsRunner:
+    """All trials of one size through one stacked solver tree."""
+
+    def __init__(self, solver, build):
+        self.solver = solver
+        self.config = solver.config
+        self.build = build
+
+    def run(self, matrices: np.ndarray, bs: np.ndarray, hardware_seeds) -> list:
+        if not len(hardware_seeds):
+            return []  # no trials: nothing to program (empty stacks cannot be)
+        rngs = [np.random.default_rng(seed) for seed in hardware_seeds]
+        try:
+            root = self.build(matrices, programming=StackedProgramming(self.config, rngs))
+        except _ZeroTilesDiffer:
+            return solve_per_trial(self.solver, matrices, bs, hardware_seeds)
+        tally = SumTally(len(rngs))
+        x = root.solve_many(bs, tally, rngs)
+        reference = self._references(matrices, bs)
+        # Paper Eq. 6, per trial.
+        errors = np.sum(np.abs(x - reference), axis=1) / np.sum(np.abs(reference), axis=1)
         return [
-            TrialOutcome(float(errors[t]), bool(acc.saturated[t]), float(acc.settle[t]))
-            for t in range(trials)
+            TrialOutcome(
+                float(errors[t]), bool(tally.saturated[t]), float(tally.analog_time_s[t])
+            )
+            for t in range(len(rngs))
         ]
 
+    def _references(self, matrices: np.ndarray, bs: np.ndarray) -> np.ndarray:
+        """Each trial's digital reference, bit-identical to its scalar solve's.
 
-# ----------------------------------------------------------------------
-# subset plumbing for gain-ranging reruns
-# ----------------------------------------------------------------------
+        The multi-stage solver's reference is NumPy's ``solve``, one
+        vector at a time; the others go through the kernel's
+        :class:`~repro.core.common.FactoredSystem`.
+        """
+        if isinstance(self.solver, MultiStageSolver):
+            return np.stack([np.linalg.solve(a, b) for a, b in zip(matrices, bs)])
+        return solve_slices(matrices, bs, what="system matrix")
 
 
-class _ArrayView:
-    """Trial-subset view of an :class:`_ArrayBatch` (no copies of math)."""
-
-    def __init__(self, array: _ArrayBatch, indices: np.ndarray):
-        self.effective = array.effective[indices]
-        self.load_row_sums = array.load_row_sums[indices]
+def solve_per_trial(solver, matrices, bs, hardware_seeds) -> list[TrialOutcome]:
+    """The sequential path: ``solver.solve`` per trial, with its own generator."""
+    outcomes = []
+    for matrix, b, seed in zip(matrices, bs, hardware_seeds):
+        result = solver.solve(matrix, b, rng=np.random.default_rng(seed))
+        outcomes.append(
+            TrialOutcome(result.relative_error, result.saturated, result.analog_time_s)
+        )
+    return outcomes

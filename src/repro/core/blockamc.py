@@ -18,7 +18,7 @@ matrix (programming — and its variation draw — happens once).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,22 +93,6 @@ class BatchedOpSpec:
     cols: int
     device_count: int
 
-    @classmethod
-    def from_stage(cls, label: str, stage, outputs, inputs, saturated) -> "BatchedOpSpec":
-        """One stage's accepted outputs; ideal outputs from its ``inputs``."""
-        rows, cols = stage.array.shape
-        return cls(
-            label=label,
-            kind=stage.kind,
-            outputs=outputs,
-            ideal=stage.ideal(inputs),
-            settling_time_s=stage.settle,
-            saturated=saturated,
-            rows=rows,
-            cols=cols,
-            device_count=stage.array.device_count,
-        )
-
     def op_result(self, c: int) -> OpResult:
         """The column-``c`` slice as a scalar-shaped :class:`OpResult`."""
         return OpResult(
@@ -126,52 +110,56 @@ class BatchedOpSpec:
 
 
 class _Stage:
-    """One programmed array's batch-invariant state for row-stacked ops.
+    """One array of the five-step schedule: ``kind``, ``settle`` and one op.
 
-    The multi-RHS form of one :class:`~repro.amc.ops.AMCOperations` op:
-    :meth:`op` runs it on the active columns in the scalar op's order —
-    node equations (or, with MNA routing, each column's netlist solve
-    through the ops' assembled-system cache), then the fresh
+    The schedule is written once against this protocol, with two kinds
+    of stage: a *shared* stage (:class:`InvStage`, :class:`MvmStage`)
+    is one programmed array that every active row runs through, and a
+    *stacked* stage (:mod:`repro.core.batched`) holds one array per
+    Monte-Carlo trial, so active row ``i`` runs through trial
+    ``indices[i]``'s array. :meth:`op` runs one operation on the active
+    rows in the scalar op's order: node equations, then the fresh
     output-noise draw, then saturation.
     """
 
     kind = ""
 
-    def __init__(self, ops: AMCOperations, array: CrossbarArray):
-        config = ops.config
-        self.ops, self.array = ops, array
-        self.mna = config.use_mna
+    def __init__(self, config: HardwareConfig):
         self.cast = config.resolve_backend().cast
         self.v_sat = config.opamp.v_sat
 
-    def raw(self, v_in: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+    def raw(self, v_in: np.ndarray, offsets, indices) -> np.ndarray:
         """Pre-noise, pre-saturation outputs for row-stacked inputs."""
         raise NotImplementedError
 
-    def per_column(self, solve, v_in: np.ndarray) -> np.ndarray:
-        """MNA routing: ``solve(array, v)`` per column, at float64."""
-        return np.stack([solve(self.array, v) for v in np.asarray(v_in, dtype=np.float64)])
-
     def op(self, v_in, offsets, noise: NoiseDraws, indices):
-        """``(outputs, saturated)`` of one operation on the active columns."""
-        return saturate(noise.output(indices, self.raw(v_in, offsets)), self.v_sat)
+        """``(outputs, saturated)`` of one operation on the active rows."""
+        return saturate(noise.output(indices, self.raw(v_in, offsets, indices)), self.v_sat)
+
+
+def _per_column(solve, array: CrossbarArray, v_in: np.ndarray) -> np.ndarray:
+    """MNA routing: ``solve(array, v)`` per column, at float64."""
+    return np.stack([solve(array, v) for v in np.asarray(v_in, dtype=np.float64)])
 
 
 class InvStage(_Stage):
-    """An INV array: settling analysis and finite-gain system, factored once.
+    """A shared INV array: settling analysis and finite-gain system, factored once.
 
     The system ``M + diag(s + L) / A0`` is factored once and
     back-substituted per column, so each column is bit-identical to a
     scalar op; the ideal matrix is factored on first need (for the
-    perfect-circuit outputs) and kept.
+    perfect-circuit outputs) and kept. With MNA routing each column
+    solves its netlist through the ops' assembled-system cache.
     """
 
     kind = "inv"
 
     def __init__(self, ops: AMCOperations, array: CrossbarArray, input_scale: float = 1.0):
-        super().__init__(ops, array)
-        self.input_scale = input_scale
         config = ops.config
+        super().__init__(config)
+        self.ops, self.array = ops, array
+        self.mna = config.use_mna
+        self.input_scale = input_scale
         effective = array.effective_matrix(config.parasitics)
         # Settling runs on the float64 matrix: timing is tier-independent.
         self.settle = ops._inv_settle(effective)
@@ -182,10 +170,11 @@ class InvStage(_Stage):
                 inv_system(self.cast(effective), self.loading, config.opamp.open_loop_gain)
             )
 
-    def raw(self, v_in, offsets):
+    def raw(self, v_in, offsets, indices):
         if self.mna:
-            return self.per_column(
+            return _per_column(
                 lambda array, v: self.ops._inv_mna(array, v, self.input_scale, offsets),
+                self.array,
                 v_in,
             )
         rhs = inv_rhs(self.cast(v_in), self.loading, self.cast(offsets), self.input_scale)
@@ -206,13 +195,15 @@ class InvStage(_Stage):
 
 
 class MvmStage(_Stage):
-    """An MVM array: effective matrix, row loads, and settling analysis."""
+    """A shared MVM array: effective matrix, row loads, and settling analysis."""
 
     kind = "mvm"
 
     def __init__(self, ops: AMCOperations, array: CrossbarArray):
-        super().__init__(ops, array)
         config = ops.config
+        super().__init__(config)
+        self.ops, self.array = ops, array
+        self.mna = config.use_mna
         self.a0 = config.opamp.open_loop_gain
         if not self.mna:
             self.effective = self.cast(array.effective_matrix(config.parasitics))
@@ -223,10 +214,10 @@ class MvmStage(_Stage):
             config.opamp.gbwp_hz,
         )
 
-    def raw(self, v_in, offsets):
+    def raw(self, v_in, offsets, indices):
         if self.mna:
-            return self.per_column(
-                lambda array, v: self.ops._mvm_mna(array, v, offsets), v_in
+            return _per_column(
+                lambda array, v: self.ops._mvm_mna(array, v, offsets), self.array, v_in
             )
         return mvm_raw(self.effective, self.loads, self.cast(v_in), self.cast(offsets), self.a0)
 
@@ -240,48 +231,134 @@ class MvmStage(_Stage):
         return ideal_mvm(self.ideal_matrix, np.asarray(v_in, dtype=np.float64))
 
 
-def macro_offsets(ops: AMCOperations, rngs) -> LazyOffsets:
-    """A programmed column's quasi-static offsets, drawn at first use.
+@dataclass
+class OpTally:
+    """Whole-batch op telemetry of one solve pass, in execution order.
 
-    They live in ``ops``' own cache (one physical op-amp column, shared
-    by every right-hand side and every later batch). The first ranging
-    attempt covers every column, so column 0's generator draws them at
-    the stream position a scalar solve of that column would.
+    Engines hand every accepted operation to a tally's ``record`` and
+    bump its conversion counters. This tally keeps a
+    :class:`BatchedOpSpec` per operation, for full
+    :class:`~repro.core.solution.SolveResult` assembly.
     """
-    return LazyOffsets(lambda size: ops._draw_offsets(size, rngs[0]))
+
+    specs: list[BatchedOpSpec] = field(default_factory=list)
+    dac_conversions: int = 0
+    adc_conversions: int = 0
+
+    def record(self, label: str, stage, outputs, inputs, saturated) -> None:
+        """One operation's accepted outputs; ideal outputs from its ``inputs``."""
+        rows, cols = stage.array.shape
+        self.specs.append(
+            BatchedOpSpec(
+                label=label,
+                kind=stage.kind,
+                outputs=outputs,
+                ideal=stage.ideal(inputs),
+                settling_time_s=stage.settle,
+                saturated=saturated,
+                rows=rows,
+                cols=cols,
+                device_count=stage.array.device_count,
+            )
+        )
+
+
+class SumTally:
+    """Per-row saturation and summed settling time, accumulated in op order.
+
+    The tally of lean results and Monte-Carlo records: no per-op
+    telemetry and no ideal outputs. Settling times add left to right
+    from zero, exactly like ``SolveResult.analog_time_s``.
+    """
+
+    def __init__(self, rows: int):
+        self.saturated = np.zeros(rows, dtype=bool)
+        self.analog_time_s = np.zeros(rows)
+        self.dac_conversions = self.adc_conversions = 0
+
+    def record(self, label, stage, outputs, inputs, saturated) -> None:
+        self.saturated |= saturated
+        self.analog_time_s = self.analog_time_s + stage.settle
+
+
+class Programming:
+    """Programs one matrix's arrays from one generator: shared stages.
+
+    The solver trees (:mod:`repro.core.multistage`) are built against
+    this protocol — normalize, Schur-preprocess, program an array, skip
+    an all-zero tile, make INV/MVM stages and an offset source, program
+    a macro — so one tree body serves the prepared solvers (this class)
+    and the trials engine, whose
+    :class:`~repro.core.batched.StackedProgramming` programs every
+    trial at once.
+    """
+
+    def __init__(self, config: HardwareConfig, rng):
+        self.config = config
+        self.rng = rng
+
+    normalize = staticmethod(normalize_matrix)
+    prepare = staticmethod(prepare_blocks)
+    inv = staticmethod(InvStage)
+    mvm = staticmethod(MvmStage)
+
+    def program(self, block: np.ndarray) -> CrossbarArray:
+        """One pre-normalized array pair (positive array drawn first)."""
+        return CrossbarArray.program(
+            block, self.config.programming, self.rng,
+            g_unit=self.config.g_unit, pre_normalized=True,
+        )
+
+    @staticmethod
+    def nonzero(tile: np.ndarray) -> bool:
+        """False for an all-zero tile, which needs no array."""
+        return bool(np.any(tile))
+
+    @staticmethod
+    def offsets(ops: AMCOperations):
+        """``rngs -> LazyOffsets`` of one programmed op-amp column.
+
+        The offsets live in ``ops``' own cache (one physical column,
+        shared by every right-hand side and every later batch). The
+        first ranging attempt covers every row, so row 0's generator
+        draws them at the stream position a scalar solve of that row
+        would.
+        """
+        return lambda rngs: LazyOffsets(lambda size: ops._draw_offsets(size, rngs[0]))
+
+    def macro(self, blocks) -> tuple[BlockAMCMacro, "BatchedFiveStep"]:
+        """Program a macro's four arrays and bind its five-step engine."""
+        macro = BlockAMCMacro(build_macro_arrays(blocks, self.config, self.rng), self.config)
+        return macro, BatchedFiveStep.of_macro(macro)
 
 
 class BatchedFiveStep:
     """The five-step schedule with matrix-valued intermediates.
 
-    Bound to one programmed :class:`~repro.amc.macro.BlockAMCMacro`,
-    this engine holds everything batch-invariant about the schedule —
-    the four arrays' :class:`InvStage`/:class:`MvmStage` state
-    (effective matrices, INV factorizations, settling analysis, ideal
-    factorizations) — and executes a whole ``(batch, n)`` block of
-    right-hand sides per :meth:`run` call, gain-ranging each column
-    independently. Quasi-static op-amp offsets come from the macro's
-    own cache, drawn at first use; output and S&H noise are drawn per
-    active column and per ranging attempt from that column's generator.
-    Every step goes through the shared kernel of
-    :mod:`repro.core.common`, so column ``c`` of a batch is bit-identical
-    to a scalar :meth:`BlockAMCMacro.solve` of the same vector with
-    ``rngs[c]``.
+    Holds the four stages of one macro — ``A1``/``A4s`` INV and
+    ``A3``/``A2`` MVM, made by ``programming`` from its arrays: shared
+    (one programmed :class:`~repro.amc.macro.BlockAMCMacro`, many
+    right-hand sides) or stacked (one macro per Monte-Carlo trial) — and
+    executes a whole ``(batch, n)`` block of rows per :meth:`run` call,
+    gain-ranging each row independently. Quasi-static op-amp offsets
+    come from the engine's offset source, drawn at first use; output
+    and S&H noise are drawn per active row and per ranging attempt from
+    that row's generator. Every step goes through the shared kernel of
+    :mod:`repro.core.common`, so row ``c`` is bit-identical to walking
+    the same vector through the same arrays one
+    :class:`~repro.amc.ops.AMCOperations` op at a time with ``rngs[c]``.
 
-    Every prepared solve delegates here: :meth:`PreparedBlockAMC.solve`
-    and ``solve_many``, and the multi-stage solver's macro nodes
-    (:mod:`repro.core.multistage`).
+    This is the schedule's only body: :meth:`PreparedBlockAMC.solve`
+    and ``solve_many``, the multi-stage tree's macro nodes
+    (:mod:`repro.core.multistage`), and through them the trials engine
+    (:mod:`repro.core.batched`) all run here.
     """
 
-    def __init__(self, macro: BlockAMCMacro):
-        self.macro = macro
-        self.config = macro.config
-        arrays = macro.arrays
-        self.ops = ops = macro.ops
-        self.inv1 = InvStage(ops, arrays.a1)
-        self.mvm3 = MvmStage(ops, arrays.a3)
-        self.inv4 = InvStage(ops, arrays.a4s, arrays.schur_input_scale)
-        self.mvm2 = MvmStage(ops, arrays.a2)
+    def __init__(self, programming, ops, a1, a2, a3, a4s, schur_input_scale):
+        self.inv1 = programming.inv(ops, a1)
+        self.mvm3 = programming.mvm(ops, a3)
+        self.inv4 = programming.inv(ops, a4s, schur_input_scale)
+        self.mvm2 = programming.mvm(ops, a2)
         #: (label, stage) of steps 1..5, in schedule order.
         self.steps = (
             ("step1:INV(A1)", self.inv1),
@@ -290,32 +367,41 @@ class BatchedFiveStep:
             ("step4:MVM(A2)", self.mvm2),
             ("step5:INV(A1)", self.inv1),
         )
-        self.split = arrays.upper_size
-        self.lower = arrays.lower_size
-        self.s_in = arrays.schur_input_scale
-        self.conv = self.config.converters
-        self.backend = self.config.resolve_backend()
+        self.offsets = programming.offsets(ops)
+        self.split, self.lower = a2.shape
+        self.config = config = programming.config
+        self.conv = config.converters
+        self.backend = config.resolve_backend()
         self._schur_reference: FactoredSystem | None = None
+
+    @classmethod
+    def of_macro(cls, macro: BlockAMCMacro) -> "BatchedFiveStep":
+        """The shared-stage engine of one programmed macro."""
+        arrays = macro.arrays
+        return cls(
+            Programming(macro.config, None), macro.ops,
+            arrays.a1, arrays.a2, arrays.a3, arrays.a4s, arrays.schur_input_scale,
+        )
 
     def digitize(self, voltages: np.ndarray) -> np.ndarray:
         """ADC model (the shared shape-generic converter)."""
         return quantize_voltages(voltages, self.conv.adc_bits, self.conv.v_fs)
 
     def run(self, bs: np.ndarray, input_fraction: float, rngs):
-        """Execute the schedule for row-stacked ``bs``; gain-range per column.
+        """Execute the schedule for row-stacked ``bs``; gain-range per row.
 
-        ``rngs[c]`` is column ``c``'s generator (per-operation noise
-        draws; column 0's also draws any offsets not yet drawn).
-        Returns ``(final, final_k)`` from
+        ``rngs[c]`` is row ``c``'s generator (per-operation noise
+        draws; offsets come from the engine's source). Returns
+        ``(final, final_k)`` from
         :func:`repro.core.common.auto_range_many`: the accepted step
         outputs/inputs (``s1``..``s5``, ``in1``..``in5``, ``f``, ``g``,
-        ``sat``) and the accepted per-column input scales.
+        ``sat``) and the accepted per-row input scales.
         """
         v_fs, dac_bits = self.conv.v_fs, self.conv.dac_bits
         split = self.split
         cast = self.backend.cast
         noise = NoiseDraws(rngs, self.config)
-        offsets = macro_offsets(self.ops, rngs)
+        offsets = self.offsets(rngs)
 
         def run_subset(k, indices):
             def op(stage, v_in, off):
@@ -328,7 +414,7 @@ class BatchedFiveStep:
             # exact per-step references.
             v_f = cast(quantize_voltages(f, dac_bits, v_fs))
             v_g = cast(quantize_voltages(g, dac_bits, v_fs))
-            # Stream order per column matches the scalar schedule:
+            # Stream order per row matches the scalar schedule:
             # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
             off_k = offsets.take(split, indices)
             s1, sat1 = op(self.inv1, v_f, off_k)
@@ -356,41 +442,40 @@ class BatchedFiveStep:
         k0 = input_voltage_scale_many(bs, v_fs, input_fraction)
         return auto_range_many(run_subset, k0, v_fs)
 
-    def solution(self, final: dict, final_k: np.ndarray, scale: float) -> np.ndarray:
+    def solution(self, final: dict, final_k: np.ndarray, scale) -> np.ndarray:
         """Digital solutions ``x`` of the accepted attempt, row-stacked.
 
-        The divisor takes the outputs' dtype, like the scalar
-        ``solution / (k * scale)`` whose Python float adopts it.
+        ``scale`` is the matrix normalization: a float for a shared
+        macro, one entry per row for stacked trials. The divisor takes
+        the outputs' dtype, like the scalar ``solution / (k * scale)``
+        whose Python float adopts it.
         """
         solution = np.concatenate(
             [-self.digitize(final["s5"]), self.digitize(final["s3"])], axis=1
         )
         return solution / (final_k * scale).astype(solution.dtype, copy=False)[:, None]
 
+    def record(self, final: dict, tally) -> None:
+        """Hand the accepted attempt's five operations to ``tally``, in order."""
+        sat = final["sat"]
+        for num, (label, stage) in enumerate(self.steps, start=1):
+            tally.record(label, stage, final[f"s{num}"], final[f"in{num}"], sat[:, num - 1])
+
     def reference(self, final: dict) -> dict[str, np.ndarray]:
-        """Exact-arithmetic per-step references (Fig. 6a curves), batched."""
+        """Exact-arithmetic per-step references (Fig. 6a curves), batched.
+
+        Shared stages only: the references come from the programmed
+        arrays' targets.
+        """
         if self._schur_reference is None:
+            inv4 = self.inv4
             self._schur_reference = FactoredSystem(
-                self.ops._ideal_matrix(self.inv4.array) / self.s_in,
+                inv4.ops._ideal_matrix(inv4.array) / inv4.input_scale,
                 what="Schur block",
             )
         return reference_schedule(
             self.inv1.ideal_system, self.mvm2.ideal_matrix, self.mvm3.ideal_matrix,
             self._schur_reference, final["f"], final["g"],
-        )
-
-    def step_specs(self, final: dict) -> tuple[BatchedOpSpec, ...]:
-        """Per-step batched telemetry for the accepted attempt.
-
-        Ideal (perfect-circuit) outputs are computed from the accepted
-        inputs, exactly as the scalar ops record them.
-        """
-        sat = final["sat"]
-        return tuple(
-            BatchedOpSpec.from_stage(
-                label, stage, final[f"s{num}"], final[f"in{num}"], sat[:, num - 1]
-            )
-            for num, (label, stage) in enumerate(self.steps, start=1)
         )
 
 
@@ -438,7 +523,7 @@ class PreparedBlockAMC:
         """
         engine = self.__dict__.get("_five_step")
         if engine is None:
-            engine = BatchedFiveStep(self.macro)
+            engine = BatchedFiveStep.of_macro(self.macro)
             object.__setattr__(self, "_five_step", engine)
         return engine
 
@@ -494,22 +579,20 @@ class PreparedBlockAMC:
         batch = bs.shape[0]
         engine = self._engine
         final, final_k = engine.run(bs, self.input_fraction, rngs)
-        final_sat = final["sat"]
         x = engine.solution(final, final_k, self.scale)
         # The digital reference always stays float64.
         references = solve_columns(self.matrix, bs, what="system matrix")
 
         if lean:
-            # Same summation order as SolveResult.analog_time_s (left
-            # fold from 0 over steps 1..5) so the scalar is bit-identical.
-            analog_total = sum(stage.settle for _, stage in engine.steps)
+            sums = SumTally(batch)
+            engine.record(final, sums)
             return tuple(
                 LeanSolveResult(
                     x=x[c],
                     reference=references[c],
                     solver="blockamc-1stage",
-                    saturated=bool(final_sat[c].any()),
-                    analog_time_s=float(analog_total),
+                    saturated=bool(sums.saturated[c]),
+                    analog_time_s=float(sums.analog_time_s[c]),
                     metadata={"input_scale": float(final_k[c])},
                 )
                 for c in range(batch)
@@ -519,7 +602,9 @@ class PreparedBlockAMC:
         # Per-step invariants resolve once inside the specs: OpResult
         # construction runs batch x 5 times and dominates assembly time
         # if the macro properties are recomputed per result.
-        specs = engine.step_specs(final)
+        tally = OpTally()
+        engine.record(final, tally)
+        specs = tally.specs
         metadata_common = {
             "scale": self.scale,
             "split": self.split,

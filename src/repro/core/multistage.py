@@ -20,32 +20,22 @@ paper's "partitioned stage by stage" scaling argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import quantize_voltages
-from repro.amc.macro import BlockAMCMacro
 from repro.amc.ops import AMCOperations
-from repro.core.blockamc import (
-    BatchedFiveStep,
-    BatchedOpSpec,
-    InvStage,
-    MvmStage,
-    macro_offsets,
-    solve_in_blocks,
-)
+from repro.core.blockamc import OpTally, Programming, SumTally, solve_in_blocks
 from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
     NoiseDraws,
     auto_range_many,
     input_voltage_scale_many,
 )
-from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
+from repro.core.partition import PartitionSpec
 from repro.core.solution import LeanSolveResult, SolveResult
-from repro.crossbar.array import CrossbarArray
-from repro.crossbar.mapping import normalize_matrix
 from repro.errors import SolverError
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_square_matrix, check_vector
@@ -60,56 +50,42 @@ class _ResourceCount:
     device_count: int = 0
 
 
-@dataclass
-class _BatchTally:
-    """Per-batch telemetry of one pass through the solver tree.
-
-    Collects whole-batch :class:`~repro.core.blockamc.BatchedOpSpec`
-    telemetry in tree-execution order — the order a one-vector walk of
-    the tree performs its operations — plus the per-solve conversion
-    counts (batch-invariant by construction).
-    """
-
-    specs: list[BatchedOpSpec] = field(default_factory=list)
-    dac_conversions: int = 0
-    adc_conversions: int = 0
-
-
 class _TiledMVM:
     """A (possibly rectangular) block tiled over terminal-size arrays.
 
     ``apply_many`` computes ``block @ v`` per row by running one analog
     MVM per tile, digitizing each partial product, and summing
-    digitally.
+    digitally. An all-zero tile gets no array (and makes no
+    programming draw).
     """
 
-    def __init__(self, block: np.ndarray, tile: int, config: HardwareConfig, rng):
+    def __init__(self, block: np.ndarray, tile: int, programming):
         if tile < 1:
             raise SolverError(f"tile size must be >= 1, got {tile}")
-        self.config = config
+        self.config = config = programming.config
         self.ops = AMCOperations(config)
-        self.rows, self.cols = block.shape
+        self.rows, self.cols = block.shape[-2:]
         self.row_starts = list(range(0, self.rows, tile))
         self.col_starts = list(range(0, self.cols, tile))
-        self.arrays: dict[tuple[int, int], CrossbarArray] = {}
-        self.skipped_tiles = 0
-        self._stages: list | None = None
+        self.arrays: dict[tuple[int, int], object] = {}
         for ri, r0 in enumerate(self.row_starts):
             for ci, c0 in enumerate(self.col_starts):
-                sub = block[r0 : r0 + tile, c0 : c0 + tile]
-                if not np.any(sub):
-                    # An all-zero tile needs no array at all (e.g. the
-                    # off-diagonal blocks of triangular or banded
-                    # systems) — the partial product is exactly zero.
-                    self.skipped_tiles += 1
-                    continue
-                self.arrays[(ri, ci)] = CrossbarArray.program(
-                    sub,
-                    config.programming,
-                    rng,
-                    g_unit=config.g_unit,
-                    pre_normalized=True,
-                )
+                sub = block[..., r0 : r0 + tile, c0 : c0 + tile]
+                # An all-zero tile needs no array at all (e.g. the
+                # off-diagonal blocks of triangular or banded systems)
+                # — the partial product is exactly zero.
+                if programming.nonzero(sub):
+                    self.arrays[(ri, ci)] = programming.program(sub)
+        self.col_bounds = list(zip(self.col_starts, self.col_starts[1:] + [self.cols]))
+        row_bounds = list(zip(self.row_starts, self.row_starts[1:] + [self.rows]))
+        #: (label, column chunk, row span, stage) per tile, row-major.
+        self.stages = [
+            (f"tile-mvm[{ri},{ci}]", ci, r0, r1, programming.mvm(self.ops, array))
+            for ri, (r0, r1) in enumerate(row_bounds)
+            for ci in range(len(self.col_bounds))
+            if (array := self.arrays.get((ri, ci))) is not None
+        ]
+        self.offsets = programming.offsets(self.ops)
 
     @property
     def array_count(self) -> int:
@@ -121,9 +97,7 @@ class _TiledMVM:
         """Total RRAM cells across all tiles."""
         return sum(a.device_count for a in self.arrays.values())
 
-    def apply_many(
-        self, v_rows: np.ndarray, fraction: float, tally: _BatchTally, rngs
-    ) -> np.ndarray:
+    def apply_many(self, v_rows: np.ndarray, fraction: float, tally, rngs) -> np.ndarray:
         """``block @ v`` per row (digital in, digital out), ranged per row.
 
         Each tile's MVM runs once for the whole batch through the
@@ -135,21 +109,9 @@ class _TiledMVM:
         v_fs = conv.v_fs
         # Digital inputs arrive as float64, whatever tier produced them.
         v_rows = np.asarray(v_rows, dtype=np.float64)
-        col_bounds = list(zip(self.col_starts, self.col_starts[1:] + [self.cols]))
-        if self._stages is None:
-            # Batch-invariant per-tile state (effective matrices, load
-            # sums, settling analysis), built once per node.
-            row_bounds = list(zip(self.row_starts, self.row_starts[1:] + [self.rows]))
-            self._stages = [
-                (ri, ci, r0, r1, MvmStage(self.ops, array))
-                for ri, (r0, r1) in enumerate(row_bounds)
-                for ci in range(len(col_bounds))
-                # all-zero tiles have no array: partial product is zero
-                if (array := self.arrays.get((ri, ci))) is not None
-            ]
-        stages = self._stages
+        col_bounds, stages = self.col_bounds, self.stages
         noise = NoiseDraws(rngs, self.config)
-        offsets = macro_offsets(self.ops, rngs)
+        offsets = self.offsets(rngs)
 
         def run_subset(k, indices):
             # DAC outputs stay float64 here (each stage casts its own
@@ -161,9 +123,8 @@ class _TiledMVM:
             out = np.zeros((indices.size, self.rows))
             payload = {}
             peaks = np.zeros(indices.size)
-            for ti, (ri, ci, r0, r1, stage) in enumerate(stages):
-                off = offsets.take(stage.array.shape[0], indices)
-                clipped, sat = stage.op(chunks[ci], off, noise, indices)
+            for ti, (_, ci, r0, r1, stage) in enumerate(stages):
+                clipped, sat = stage.op(chunks[ci], offsets.take(r1 - r0, indices), noise, indices)
                 payload[f"tile{ti}"] = clipped
                 payload[f"tsat{ti}"] = sat
                 peaks = np.maximum(peaks, np.max(np.abs(clipped), axis=1))
@@ -177,16 +138,8 @@ class _TiledMVM:
 
         k0 = input_voltage_scale_many(v_rows, v_fs, fraction)
         final, final_k = auto_range_many(run_subset, k0, v_fs)
-        for ti, (ri, ci, r0, r1, stage) in enumerate(stages):
-            tally.specs.append(
-                BatchedOpSpec.from_stage(
-                    f"tile-mvm[{ri},{ci}]",
-                    stage,
-                    final[f"tile{ti}"],
-                    final[f"chunk{ci}"],
-                    final[f"tsat{ti}"],
-                )
-            )
+        for ti, (label, ci, _, _, stage) in enumerate(stages):
+            tally.record(label, stage, final[f"tile{ti}"], final[f"chunk{ci}"], final[f"tsat{ti}"])
         tally.dac_conversions += len(col_bounds)
         tally.adc_conversions += len(stages)
         return final["out"] / final_k[:, None]
@@ -195,22 +148,15 @@ class _TiledMVM:
 class _MacroNode:
     """Terminal solver node: a one-stage BlockAMC macro for one block."""
 
-    def __init__(
-        self,
-        block: np.ndarray,
-        config: HardwareConfig,
-        partition: PartitionSpec,
-        fraction: float,
-        rng,
-    ):
-        self.config = config
+    def __init__(self, block: np.ndarray, programming, partition: PartitionSpec, fraction: float):
+        self.config = programming.config
         self.fraction = fraction
-        normalized, self.scale = normalize_matrix(block)
-        blocks = prepare_blocks(normalized, partition)
+        normalized, self.scale = programming.normalize(block)
+        blocks = programming.prepare(normalized, partition)
         self.split = blocks.split
-        arrays = build_macro_arrays(blocks, config, rng)
-        self.macro = BlockAMCMacro(arrays, config)
-        self._engine: BatchedFiveStep | None = None
+        # The macro itself exists for shared programming only (resource
+        # counts, the scalar oracle); the engine exists for both.
+        self.macro, self.engine = programming.macro(blocks)
 
     @property
     def device_count(self) -> int:
@@ -221,72 +167,63 @@ class _MacroNode:
         counts.array_count += 4
         counts.device_count += self.macro.device_count
 
-    def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
-    ) -> np.ndarray:
+    def solve_many(self, rhs_rows: np.ndarray, tally, rngs) -> np.ndarray:
         """Solve ``block @ x = rhs`` per row through the five-step engine.
 
-        One :class:`~repro.core.blockamc.BatchedFiveStep` is built per
-        node (factorizations and settling analysis shared), then reused
-        by every batch — including the two visits the glue recursion
+        The node's :class:`~repro.core.blockamc.BatchedFiveStep` holds
+        the factorizations, settling analysis and offsets, so every
+        batch reuses them — including the two visits the glue recursion
         pays this node per solve.
         """
-        if self._engine is None:
-            self._engine = BatchedFiveStep(self.macro)
-        engine = self._engine
+        engine = self.engine
         final, final_k = engine.run(rhs_rows, self.fraction, rngs)
-        tally.specs.extend(engine.step_specs(final))
+        engine.record(final, tally)
         tally.dac_conversions += 2
         tally.adc_conversions += 2
         return engine.solution(final, final_k, self.scale)
 
 
 class _DirectInvNode:
-    """Terminal node for blocks too small to partition (n < 2): one INV."""
+    """Terminal node that runs one INV over its whole block.
 
-    def __init__(self, block: np.ndarray, config: HardwareConfig, fraction: float, rng):
-        self.config = config
+    Blocks too small to partition (n < 2) end the recursion here; over
+    a full matrix it is the original (monolithic) AMC solver, which is
+    how the trials engine runs that baseline.
+    """
+
+    def __init__(self, block: np.ndarray, programming, fraction: float):
+        self.config = config = programming.config
         self.fraction = fraction
-        normalized, self.scale = normalize_matrix(block)
-        self.array = CrossbarArray.program(
-            normalized, config.programming, rng, g_unit=config.g_unit, pre_normalized=True
-        )
+        normalized, self.scale = programming.normalize(block)
+        self.size = normalized.shape[-1]
+        self.array = programming.program(normalized)
         self.ops = AMCOperations(config)
-        self._stage: InvStage | None = None
+        self.stage = programming.inv(self.ops, self.array)
+        self.offsets = programming.offsets(self.ops)
 
     def count_resources(self, counts: _ResourceCount) -> None:
         counts.array_count += 1
         counts.device_count += self.array.device_count
 
-    def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
-    ) -> np.ndarray:
+    def solve_many(self, rhs_rows: np.ndarray, tally, rngs) -> np.ndarray:
         """Solve ``block @ x = rhs`` per row: one INV factorization, many columns."""
-        config = self.config
-        conv = config.converters
+        conv = self.config.converters
         v_fs = conv.v_fs
-        if self._stage is None:
-            self._stage = InvStage(self.ops, self.array)
-        stage = self._stage
-        noise = NoiseDraws(rngs, config)
-        offsets = macro_offsets(self.ops, rngs)
+        stage = self.stage
+        noise = NoiseDraws(rngs, self.config)
+        offsets = self.offsets(rngs)
 
         def run_subset(k, indices):
             # The DAC output stays float64 (the stage casts its input),
             # so the ideal output sees what the scalar op sees.
             v_in = quantize_voltages(k[:, None] * rhs_rows[indices], conv.dac_bits, v_fs)
-            off = offsets.take(self.array.shape[0], indices)
-            clipped, sat = stage.op(v_in, off, noise, indices)
+            clipped, sat = stage.op(v_in, offsets.take(self.size, indices), noise, indices)
             peaks = np.max(np.abs(clipped), axis=1)
             return peaks, {"out": clipped, "v_in": v_in, "sat": sat}
 
         k0 = input_voltage_scale_many(rhs_rows, v_fs, self.fraction)
         final, final_k = auto_range_many(run_subset, k0, v_fs)
-        tally.specs.append(
-            BatchedOpSpec.from_stage(
-                "direct-inv", stage, final["out"], final["v_in"], final["sat"]
-            )
-        )
+        tally.record("direct-inv", stage, final["out"], final["v_in"], final["sat"])
         tally.dac_conversions += 1
         tally.adc_conversions += 1
         digitized = quantize_voltages(final["out"], conv.adc_bits, v_fs)
@@ -301,28 +238,26 @@ class _DigitalGlueNode:
         self,
         block: np.ndarray,
         depth_remaining: int,
-        config: HardwareConfig,
+        programming,
         partition: PartitionSpec,
         fraction: float,
-        rng,
     ):
-        self.config = config
+        self.config = programming.config
         self.fraction = fraction
-        normalized, self.scale = normalize_matrix(block)
-        blocks = prepare_blocks(normalized, partition)
+        normalized, self.scale = programming.normalize(block)
+        # Rows divide by their own matrix's scale (one per stacked trial).
+        self._row_scale = np.expand_dims(self.scale, -1)
+        blocks = programming.prepare(normalized, partition)
         self.split = blocks.split
-        self.blocks = blocks
-        n = normalized.shape[0]
+        n = normalized.shape[-1]
         # Terminal arrays are the size the deepest partition produces.
         tile = max(1, (n + (1 << depth_remaining) - 1) >> depth_remaining)
-        self.upper = _build_node(
-            blocks.a1, depth_remaining - 1, config, partition, fraction, rng
-        )
-        self.lower = _build_node(
-            blocks.a4s, depth_remaining - 1, config, partition, fraction, rng
-        )
-        self.tiles_a2 = _TiledMVM(blocks.a2, tile, config, rng)
-        self.tiles_a3 = _TiledMVM(blocks.a3, tile, config, rng)
+        # Programming order: the upper child's arrays, the lower
+        # child's, then the A2 and A3 tiles.
+        self.upper = _build_node(blocks.a1, depth_remaining - 1, programming, partition, fraction)
+        self.lower = _build_node(blocks.a4s, depth_remaining - 1, programming, partition, fraction)
+        self.tiles_a2 = _TiledMVM(blocks.a2, tile, programming)
+        self.tiles_a3 = _TiledMVM(blocks.a3, tile, programming)
 
     def count_resources(self, counts: _ResourceCount) -> None:
         self.upper.count_resources(counts)
@@ -330,9 +265,7 @@ class _DigitalGlueNode:
         counts.array_count += self.tiles_a2.array_count + self.tiles_a3.array_count
         counts.device_count += self.tiles_a2.device_count + self.tiles_a3.device_count
 
-    def solve_many(
-        self, rhs_rows: np.ndarray, tally: _BatchTally, rngs
-    ) -> np.ndarray:
+    def solve_many(self, rhs_rows: np.ndarray, tally, rngs) -> np.ndarray:
         """Solve ``block @ x = rhs`` per row; the recursion stays matrix-valued.
 
         The five-step glue schedule runs once with ``(batch, n)``
@@ -341,7 +274,7 @@ class _DigitalGlueNode:
         delegates to the shared multi-RHS kernel, so row ``c`` is
         bit-identical to a one-vector walk of the tree for ``rhs_rows[c]``.
         """
-        rhs_n = np.asarray(rhs_rows, dtype=float) / self.scale
+        rhs_n = np.asarray(rhs_rows, dtype=float) / self._row_scale
         f = rhs_n[:, : self.split]
         g = rhs_n[:, self.split :]
 
@@ -353,13 +286,14 @@ class _DigitalGlueNode:
         return np.concatenate([y, z], axis=1)
 
 
-def _build_node(block, depth_remaining, config, partition, fraction, rng):
+def _build_node(block, depth_remaining, programming, partition, fraction):
+    """The solver tree for ``block`` (one matrix, or a stack of trials)."""
     block = np.asarray(block, dtype=float)
-    if block.shape[0] < 2:
-        return _DirectInvNode(block, config, fraction, rng)
+    if block.shape[-1] < 2:
+        return _DirectInvNode(block, programming, fraction)
     if depth_remaining <= 1:
-        return _MacroNode(block, config, partition, fraction, rng)
-    return _DigitalGlueNode(block, depth_remaining, config, partition, fraction, rng)
+        return _MacroNode(block, programming, partition, fraction)
+    return _DigitalGlueNode(block, depth_remaining, programming, partition, fraction)
 
 
 @dataclass(frozen=True)
@@ -409,37 +343,29 @@ class PreparedMultiStage:
     def _solve_block(self, bs: np.ndarray, rngs, lean: bool) -> tuple:
         """One pass of the tree over row-stacked ``bs`` (``rngs[c]`` per row)."""
         batch = bs.shape[0]
-        tally = _BatchTally()
+        tally = SumTally(batch) if lean else OpTally()
         x = self.root.solve_many(bs, tally, rngs)
-        counts = _ResourceCount()
-        self.root.count_resources(counts)
         # Per-column exact references through np.linalg.solve, one
         # vector at a time (the reference's bits never see the batch).
         references = np.stack(
             [np.linalg.solve(self.matrix, bs[c]) for c in range(batch)]
         )
         solver = f"blockamc-{self.stages}stage"
-
         if lean:
-            # Same left-fold summation order as SolveResult.analog_time_s.
-            analog_total = float(
-                sum(spec.settling_time_s for spec in tally.specs)
-            )
-            saturated = np.zeros(batch, dtype=bool)
-            for spec in tally.specs:
-                saturated |= spec.saturated
             return tuple(
                 LeanSolveResult(
                     x=x[c],
                     reference=references[c],
                     solver=solver,
-                    saturated=bool(saturated[c]),
-                    analog_time_s=analog_total,
+                    saturated=bool(tally.saturated[c]),
+                    analog_time_s=float(tally.analog_time_s[c]),
                     metadata={},
                 )
                 for c in range(batch)
             )
 
+        counts = _ResourceCount()
+        self.root.count_resources(counts)
         metadata = {
             "stages": self.stages,
             "macro_count": counts.macro_count,
@@ -491,7 +417,8 @@ class MultiStageSolver:
         matrix = check_square_matrix(matrix)
         rng = as_generator(rng)
         root = _build_node(
-            matrix, self.stages, self.config, self.partition, self.input_fraction, rng
+            matrix, self.stages, Programming(self.config, rng), self.partition,
+            self.input_fraction,
         )
         return PreparedMultiStage(matrix=matrix, root=root, stages=self.stages)
 

@@ -6,11 +6,11 @@ multi-stage node tree's ``solve_many`` methods); a single right-hand
 side is simply a batch of one. This module keeps the scalar reference
 those engines must reproduce bit for bit: it walks the same programmed
 arrays through the public one-operation primitives —
-:meth:`~repro.amc.macro.BlockAMCMacro.solve`,
-:meth:`~repro.amc.ops.AMCOperations.inv`/``mvm``, the DAC/ADC models
-and :func:`~repro.core.common.auto_range` — redoing the settling
+:meth:`~repro.amc.ops.AMCOperations.inv`/``mvm``, the DAC/ADC and S&H
+models and :func:`~repro.core.common.auto_range` — redoing the settling
 analysis and every factorization per operation, exactly as a naive
-circuit simulation would.
+circuit simulation would. :func:`solve_macro` is the one-macro
+five-step walk (paper Fig. 4) the solvers build on.
 
 The oracle draws from the node's own :class:`~repro.amc.ops.AMCOperations`
 offset cache, like the engines do, so it must run on a *separately
@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.amc.interfaces import ADC, DAC
+from repro.amc.interfaces import ADC, DAC, SampleHold
+from repro.amc.macro import BlockAMCMacro, reference_schedule
+from repro.amc.ops import OpResult
 from repro.core.blockamc import PreparedBlockAMC
 from repro.core.common import auto_range, input_voltage_scale, solve_columns
 from repro.core.multistage import (
@@ -40,7 +42,7 @@ from repro.core.solution import SolveResult
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_vector
 
-__all__ = ["oracle_solve", "solve_multistage", "solve_one_stage"]
+__all__ = ["MacroResult", "oracle_solve", "solve_macro", "solve_multistage", "solve_one_stage"]
 
 
 def oracle_solve(prepared, b, rng=None) -> SolveResult:
@@ -50,6 +52,91 @@ def oracle_solve(prepared, b, rng=None) -> SolveResult:
     if isinstance(prepared, PreparedMultiStage):
         return solve_multistage(prepared, b, rng)
     raise TypeError(f"no scalar oracle for {type(prepared).__name__}")
+
+
+# ----------------------------------------------------------------------
+# one macro: the five-step schedule, one operation at a time
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MacroResult:
+    """Outcome of one macro walk.
+
+    ``x_upper`` / ``x_lower`` are the digital solution halves (ADC
+    output, sign-corrected). ``steps`` holds per-operation telemetry;
+    ``reference_steps`` holds the exact-arithmetic value of each step's
+    output (the paper's "numerical" curves of Fig. 6a), computed from the
+    pre-DAC inputs.
+    """
+
+    x_upper: np.ndarray
+    x_lower: np.ndarray
+    steps: tuple[OpResult, ...]
+    reference_steps: dict[str, np.ndarray]
+
+    @property
+    def solution(self) -> np.ndarray:
+        """Concatenated solution vector."""
+        return np.concatenate([self.x_upper, self.x_lower])
+
+    @property
+    def analog_time_s(self) -> float:
+        """Sum of all analog settling times (serial schedule)."""
+        return float(sum(step.settling_time_s for step in self.steps))
+
+
+def solve_macro(macro: BlockAMCMacro, f, g, rng=None) -> MacroResult:
+    """Run the five-step schedule on ``macro`` for voltage-domain ``f``, ``g``.
+
+    ``f`` and ``g`` are the upper/lower halves of the known vector,
+    already scaled into DAC full scale by the caller. Every operation
+    goes through :class:`~repro.amc.ops.AMCOperations` on the macro's
+    own op-amp column, and every intermediate through two S&H banks.
+    """
+    arrays, ops, config = macro.arrays, macro.ops, macro.config
+    f = check_vector(f, "f", size=arrays.upper_size)
+    g = check_vector(g, "g", size=arrays.lower_size)
+    rng = as_generator(rng)
+    dac, adc = DAC(config.converters), ADC(config.converters)
+    snh_out, snh_in = SampleHold(config.sample_hold), SampleHold(config.sample_hold)
+
+    def held(op):
+        return snh_in.transfer(snh_out.transfer(op.output, rng), rng)
+
+    reference = reference_schedule(
+        arrays.a1.target.reconstruct_normalized(),
+        arrays.a2.target.reconstruct_normalized(),
+        arrays.a3.target.reconstruct_normalized(),
+        arrays.a4s.target.reconstruct_normalized() / arrays.schur_input_scale,
+        f,
+        g,
+    )
+    # DAC outputs enter the analog voltage domain at the backend tier
+    # (identity on float64), so in-analog sums like ``h2 - v_g`` happen
+    # at the tier's precision.
+    cast = config.resolve_backend().cast
+    v_f = cast(dac.convert(f))
+    v_g = cast(dac.convert(g))
+    # Step 1: INV(A1, f) -> -y_t.
+    s1 = ops.inv(arrays.a1, v_f, label="step1:INV(A1)", rng=rng)
+    # Step 2: MVM(A3, -y_t) -> g_t (the circuit's inversion removes the sign).
+    s2 = ops.mvm(arrays.a3, held(s1), label="step2:MVM(A3)", rng=rng)
+    # Step 3: INV(A4s, g_t - g); the sum happens at the input conductances.
+    s3 = ops.inv(
+        arrays.a4s, held(s2) - v_g, label="step3:INV(A4s)",
+        input_scale=arrays.schur_input_scale, rng=rng,
+    )
+    # Step 4: MVM(A2, z) -> -f_t.
+    s4 = ops.mvm(arrays.a2, held(s3), label="step4:MVM(A2)", rng=rng)
+    # Step 5: INV(A1, f - f_t) -> -y.
+    s5 = ops.inv(arrays.a1, v_f + held(s4), label="step5:INV(A1)", rng=rng)
+    return MacroResult(
+        x_upper=-adc.convert(s5.output),
+        x_lower=adc.convert(s3.output),
+        steps=(s1, s2, s3, s4, s5),
+        reference_steps=reference,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +154,7 @@ def solve_one_stage(prepared: PreparedBlockAMC, b, rng=None) -> SolveResult:
 
     def run(k):
         v_b = k * b
-        result = macro.solve(v_b[: prepared.split], v_b[prepared.split :], rng)
+        result = solve_macro(macro, v_b[: prepared.split], v_b[prepared.split :], rng)
         peak = max(float(np.max(np.abs(step.output))) for step in result.steps)
         return peak, result
 
@@ -148,7 +235,7 @@ def _solve_macro(node: _MacroNode, rhs, tally: _Tally, rng) -> np.ndarray:
 
     def run(k):
         v_b = k * rhs
-        result = node.macro.solve(v_b[: node.split], v_b[node.split :], rng)
+        result = solve_macro(node.macro, v_b[: node.split], v_b[node.split :], rng)
         peak = max(float(np.max(np.abs(step.output))) for step in result.steps)
         return peak, result
 

@@ -52,6 +52,7 @@ from repro.campaigns import (
     stores_equal,
     unit_seed_sequence,
 )
+from repro.campaigns.registry import QUICK_SIZES, QUICK_TRIALS
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.original import OriginalAMCSolver
 from repro.devices.variations import GaussianVariation, RelativeGaussianVariation
@@ -302,6 +303,46 @@ class TestCampaignDeterminism:
                 assert record.saturated == match.saturated
                 assert record.analog_time_s == match.analog_time_s
 
+    def test_fig9_shape_bit_identical_to_run_trials(self, tmp_path):
+        """All three Fig. 9 solvers, two-stage included, run trial-batched
+        in a campaign and still equal the per-trial sweep record for record."""
+        from repro.serve.cache import SOLVER_KINDS
+
+        spec = CampaignSpec(
+            name="fig9-shape",
+            solvers=("original-amc", "blockamc-1stage", "blockamc-2stage"),
+            families=("wishart", "toeplitz"),
+            sizes=QUICK_SIZES,
+            trials=QUICK_TRIALS,
+            seed=90,
+            hardware="interconnect",
+        )
+        run_campaign(spec, tmp_path, workers=0)
+        grouped = campaign_records(spec, ArtifactStore(tmp_path))
+        hardware = spec.resolve_hardware(0)
+        for family, factory in (
+            ("wishart", wishart_matrix),
+            ("toeplitz", toeplitz_matrix),
+        ):
+            legacy = run_trials(
+                {
+                    name: lambda name=name: SOLVER_KINDS[name](hardware)
+                    for name in spec.solvers
+                },
+                lambda n, rng: factory(n, rng),
+                spec.sizes,
+                spec.trials,
+                seed=spec.seed,
+            )
+            key = lambda r: (r.size, r.trial, r.solver)
+            campaign = {key(r): r for r in grouped[("base", family)]}
+            assert sorted(campaign) == sorted(map(key, legacy))
+            for record in legacy:
+                match = campaign[key(record)]
+                assert record.relative_error == match.relative_error, key(record)
+                assert record.saturated == match.saturated
+                assert record.analog_time_s == match.analog_time_s
+
     def test_one_vs_four_workers_bit_identical(self, tmp_path):
         run_campaign(TINY, tmp_path / "w1", workers=1)
         run_campaign(TINY, tmp_path / "w4", workers=4)
@@ -453,7 +494,9 @@ class TestCampaignDeterminism:
 class TestSigkillResume:
     def test_sigkill_mid_campaign_then_resume(self, tmp_path):
         """A literally killed campaign process resumes to the same bits."""
-        spec_name = "fig9-interconnect"  # slowest quick campaign (2-stage fallback)
+        # Six units of all three Fig. 9 solvers: the run is still going
+        # when the first unit commits, which is when the kill lands.
+        spec_name = "fig9-interconnect"
         reference = tmp_path / "ref"
         run_campaign(get_campaign(spec_name), reference, workers=0)
 
@@ -470,8 +513,7 @@ class TestSigkillResume:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # Kill as soon as the first unit commits (or give up waiting and
-        # let the run finish — the resume assertions hold either way).
+        # Kill as soon as the first unit commits.
         units_dir = killed_root / "units"
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and proc.poll() is None:
@@ -480,8 +522,11 @@ class TestSigkillResume:
                 break
             time.sleep(0.005)
         proc.wait(timeout=60.0)
-
+        # The test means nothing unless the kill landed mid-run.
+        assert proc.returncode == -signal.SIGKILL
         spec = get_campaign(spec_name)
+        assert not campaign_status(spec, ArtifactStore(killed_root)).finished
+
         resumed = run_campaign(spec, killed_root, workers=0)
         assert resumed.finished
         assert stores_equal(ArtifactStore(reference), ArtifactStore(killed_root)), (

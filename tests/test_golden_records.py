@@ -14,7 +14,10 @@ trips CI. The records pinned include:
   ``SolverService`` execution by the service's determinism contract);
 - one noisy mixed 1-/2-stage serve run (op-amp output and S&H noise,
   plus an MNA slice), which pins the per-request noise streams, the
-  warm-up draws of fresh cache entries, and gain-ranging reruns.
+  warm-up draws of fresh cache entries, and gain-ranging reruns;
+- a two-stage Fig. 9-shaped sweep through ``run_trials_batched``
+  (Wishart and Toeplitz on ``paper_interconnect``, plus a noisy slice),
+  which pins the two-stage trial records of the campaign engine.
 
 Intentional numerical changes regenerate the fixtures with::
 
@@ -44,7 +47,7 @@ from repro.core.blockamc import BlockAMCSolver
 from repro.core.multistage import MultiStageSolver
 from repro.core.original import OriginalAMCSolver
 from repro.serve.service import ServiceConfig, run_sequential
-from repro.workloads.matrices import random_vector, wishart_matrix
+from repro.workloads.matrices import random_vector, toeplitz_matrix, wishart_matrix
 from repro.workloads.traffic import mixed_traffic
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -72,6 +75,12 @@ TWOSTAGE_SEED = 35
 #: Noisy serve run: per-operation op-amp output noise and S&H noise
 #: (volts, against a 1 V full scale) on top of ``paper_variation``.
 NOISE_V = 2e-4
+
+#: Two-stage trial sweep (Fig. 9 shape): odd sizes split unevenly, and
+#: 24 gives a two-stage tree with rectangular tiles.
+TWOSTAGE_TRIALS_SIZES = (8, 11, 16, 24)
+TWOSTAGE_TRIALS = 4
+TWOSTAGE_TRIALS_SEED = 90
 
 
 def _assert_float_match(actual: np.ndarray, golden: np.ndarray, label: str):
@@ -227,6 +236,29 @@ def _serve_noisy_payload() -> dict[str, np.ndarray]:
     }
 
 
+def _twostage_trials_payload() -> dict[str, np.ndarray]:
+    """Two-stage Monte-Carlo records: Fig. 9 families plus a noisy slice."""
+    slices = (
+        (HardwareConfig.paper_interconnect(), wishart_matrix),
+        (HardwareConfig.paper_interconnect(), toeplitz_matrix),
+        (_noisy_hardware(), wishart_matrix),
+    )
+    records = []
+    for index, (config, factory) in enumerate(slices):
+        records += run_trials_batched(
+            {"blockamc-2stage": MultiStageSolver(config, stages=2)},
+            lambda n, rng, factory=factory: factory(n, rng),
+            TWOSTAGE_TRIALS_SIZES,
+            TWOSTAGE_TRIALS,
+            seed=TWOSTAGE_TRIALS_SEED + index,
+        )
+    return {
+        "relative_error": np.array([r.relative_error for r in records]),
+        "saturated": np.array([r.saturated for r in records]),
+        "analog_time_s": np.array([r.analog_time_s for r in records]),
+    }
+
+
 class TestFig7Golden:
     def test_sweep_matches_golden(self, regen_goldens):
         _check_or_regen(
@@ -265,6 +297,15 @@ class TestTwoStageGolden:
         _check_or_regen(
             _serve_multistage_payload(),
             GOLDEN_DIR / "serve_multistage_traffic.npz",
+            regen_goldens,
+        )
+
+
+class TestTwoStageTrialsGolden:
+    def test_sweep_matches_golden(self, regen_goldens):
+        _check_or_regen(
+            _twostage_trials_payload(),
+            GOLDEN_DIR / "twostage_trials_sweep.npz",
             regen_goldens,
         )
 

@@ -3,12 +3,12 @@
 ``repro.core.common`` is the single implementation of the analog solve
 physics; three call-path shapes consume it:
 
-- **scalar** — ``AMCOperations`` / ``BlockAMCMacro.solve`` /
-  ``PreparedOriginalAMC.solve`` (one vector at a time), and the scalar
-  oracle of the prepared BlockAMC solvers built on them
-  (:mod:`oracles.scalar`);
+- **scalar** — ``AMCOperations`` / ``PreparedOriginalAMC.solve`` (one
+  vector at a time), and the scalar oracle of the BlockAMC solvers
+  built on them (:mod:`oracles.scalar`, including the one-macro
+  five-step walk);
 - **trial-batched** — ``repro.core.batched`` (stacked ``(trials, n, n)``
-  Monte-Carlo tensors);
+  Monte-Carlo tensors run through the solver trees on stacked stages);
 - **multi-RHS** — ``PreparedBlockAMC.solve_many`` and
   ``PreparedMultiStage.solve_many`` (one programmed macro or tree,
   row-stacked right-hand sides); a prepared ``solve`` is a batch of one.
@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.batched as batched_module
+import repro.core.multistage as multistage_module
 from oracles.scalar import oracle_solve
 from repro.amc.config import (
     ConverterConfig,
@@ -88,7 +89,13 @@ from repro.devices.variations import (
     NoVariation,
     RelativeGaussianVariation,
 )
-from repro.errors import ConvergenceError, SolverError, ValidationError
+from repro.errors import (
+    ConvergenceError,
+    MappingError,
+    PartitionError,
+    SolverError,
+    ValidationError,
+)
 from repro.workloads.matrices import (
     diagonally_dominant_matrix,
     random_vector,
@@ -390,33 +397,81 @@ class TestVariationStreamExactness:
 # ----------------------------------------------------------------------
 
 
+def _trial_solvers(config, stages=(2,)):
+    """``(factories for run_trials, instances for run_trials_batched)``."""
+    factories = {
+        "orig": lambda: OriginalAMCSolver(config),
+        "block": lambda: BlockAMCSolver(config),
+    }
+    for depth in stages:
+        factories[f"stage{depth}"] = lambda depth=depth: MultiStageSolver(config, stages=depth)
+    return factories, {name: factory() for name, factory in factories.items()}
+
+
+class _ZeroTileFactory:
+    """Dominant matrices, some with an all-zero two-stage ``A2`` tile.
+
+    ``zero_every=1`` zeroes the tile in every matrix (the trials agree,
+    and the stacked tree skips the tile); ``zero_every=2`` in every other
+    one (the trials of a size disagree). Stateful, so build a fresh one
+    per sweep: both sweeps call it in the same order.
+    """
+
+    def __init__(self, zero_every: int):
+        self.zero_every = zero_every
+        self.calls = 0
+
+    def __call__(self, n, rng):
+        matrix = diagonally_dominant_matrix(n, rng)
+        if self.calls % self.zero_every == 0:
+            tile = (n + 3) // 4  # terminal tile size of a two-stage tree
+            matrix[:tile, (n + 1) // 2 : (n + 1) // 2 + tile] = 0.0
+        self.calls += 1
+        return matrix
+
+
 class TestScalarVsTrialBatched:
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
     def test_records_bit_identical(self, config_name, family):
-        config = CONFIGS[config_name]
+        factories, solvers = _trial_solvers(CONFIGS[config_name])
         factory = MATRIX_FAMILIES[family]
         sizes, trials = (6, 9, 12), 3
+        seq = run_trials(factories, factory, sizes, trials, seed=70)
+        bat = run_trials_batched(solvers, factory, sizes, trials, seed=70)
+        _records_exactly_equal(seq, bat)
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
+    def test_three_stage_records_bit_identical(self, config_name, family):
+        """A three-stage tree: glue nodes over glue nodes, odd splits."""
+        config = CONFIGS[config_name]
+        factory = MATRIX_FAMILIES[family]
         seq = run_trials(
-            {
-                "orig": lambda: OriginalAMCSolver(config),
-                "block": lambda: BlockAMCSolver(config),
-            },
-            factory,
-            sizes,
-            trials,
-            seed=70,
+            {"stage3": lambda: MultiStageSolver(config, stages=3)}, factory, (16, 19), 2,
+            seed=72,
         )
         bat = run_trials_batched(
-            {
-                "orig": OriginalAMCSolver(config),
-                "block": BlockAMCSolver(config),
-            },
-            factory,
-            sizes,
-            trials,
-            seed=70,
+            {"stage3": MultiStageSolver(config, stages=3)}, factory, (16, 19), 2, seed=72
         )
+        _records_exactly_equal(seq, bat)
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_every_solver_runs_batched_not_fallback(self, config_name):
+        """Every solver of the grid has a trials runner — otherwise the
+        equivalence tests above would compare the fallback with itself."""
+        _, solvers = _trial_solvers(CONFIGS[config_name], stages=(1, 2, 3))
+        for name, solver in solvers.items():
+            assert make_batched_runner(solver) is not None, name
+
+    @pytest.mark.parametrize("zero_every", [1, 2], ids=["trials-agree", "trials-differ"])
+    def test_zero_tiles_bit_identical(self, zero_every):
+        """All-zero tiles make no programming draw. Trials that agree on
+        them run stacked; trials that disagree run per trial."""
+        config = CONFIGS["variation"]
+        factories, solvers = _trial_solvers(config)
+        seq = run_trials(factories, _ZeroTileFactory(zero_every), (8, 12), 3, seed=8)
+        bat = run_trials_batched(solvers, _ZeroTileFactory(zero_every), (8, 12), 3, seed=8)
         _records_exactly_equal(seq, bat)
 
     def test_noise_configs_run_batched_not_fallback(self):
@@ -444,19 +499,50 @@ class TestScalarVsTrialBatched:
 
     def test_noise_configs_bit_identical_under_ranging_reruns(self):
         """Fresh noise redraws per ranging attempt, exactly like scalar."""
-        config = CONFIGS["noisy_saturating"]
+        factories, solvers = _trial_solvers(CONFIGS["noisy_saturating"])
         factory = MATRIX_FAMILIES["graded"]
-        seq = run_trials(
-            {"orig": lambda: OriginalAMCSolver(config),
-             "block": lambda: BlockAMCSolver(config)},
-            factory, (10, 12), 3, seed=11,
-        )
-        bat = run_trials_batched(
-            {"orig": OriginalAMCSolver(config),
-             "block": BlockAMCSolver(config)},
-            factory, (10, 12), 3, seed=11,
-        )
+        seq = run_trials(factories, factory, (10, 12), 3, seed=11)
+        bat = run_trials_batched(solvers, factory, (10, 12), 3, seed=11)
         _records_exactly_equal(seq, bat)
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            (np.zeros((8, 8)), {"orig": MappingError, "block": MappingError,
+                                "stage2": MappingError}),
+            # A1 = 0: the partitioned solvers cannot split it.
+            (np.eye(8)[::-1].copy(), {"orig": None, "block": PartitionError,
+                                      "stage2": PartitionError}),
+        ],
+        ids=["all-zero", "singular-a1"],
+    )
+    def test_bad_matrix_fails_like_per_trial(self, matrix, error):
+        """A system the solvers cannot map or partition fails with the same
+        exception class whether or not the solver batches."""
+
+        def outcome(sweep, solver):
+            try:
+                return sweep({"s": solver}, lambda n, rng: matrix, (8,), 2, seed=1)
+            except Exception as exc:  # noqa: BLE001 - the class is the result
+                return type(exc)
+
+        factories, solvers = _trial_solvers(CONFIGS["variation"])
+        for name, solver in solvers.items():
+            seq = outcome(run_trials, factories[name])
+            bat = outcome(run_trials_batched, solver)
+            if error[name] is None:
+                _records_exactly_equal(seq, bat)
+            else:
+                assert seq is bat is error[name], name
+
+    def test_unsupported_solver_has_no_runner(self):
+        assert make_batched_runner(object()) is None
+
+    def test_zero_trials_give_no_records(self):
+        factories, solvers = _trial_solvers(CONFIGS["variation"])
+        factory = MATRIX_FAMILIES["wishart"]
+        assert run_trials(factories, factory, (8,), 0, seed=1) == []
+        assert run_trials_batched(solvers, factory, (8,), 0, seed=1) == []
 
     def test_graded_family_actually_reran_ranging(self):
         """The ill-conditioned family exercises the rerun path (sanity)."""
@@ -1008,21 +1094,15 @@ class TestFloat32Tier:
         assert f32.reference.dtype == np.float64
         assert np.array_equal(f32.reference, ref.reference)
 
-    @pytest.mark.parametrize("config_name", ["ideal", "variation", "output_noise"])
+    @pytest.mark.parametrize(
+        "config_name", ["ideal", "variation", "output_noise", "exact_parasitics"]
+    )
     def test_scalar_vs_batched_bit_identical_within_tier(self, config_name):
         """Tier changes precision, not the shape-equivalence contract."""
-        config = _f32(CONFIGS[config_name])
+        factories, solvers = _trial_solvers(_f32(CONFIGS[config_name]))
         factory = MATRIX_FAMILIES["wishart"]
-        seq = run_trials(
-            {"orig": lambda: OriginalAMCSolver(config),
-             "block": lambda: BlockAMCSolver(config)},
-            factory, (6, 10), 3, seed=70,
-        )
-        bat = run_trials_batched(
-            {"orig": OriginalAMCSolver(config),
-             "block": BlockAMCSolver(config)},
-            factory, (6, 10), 3, seed=70,
-        )
+        seq = run_trials(factories, factory, (6, 10), 3, seed=70)
+        bat = run_trials_batched(solvers, factory, (6, 10), 3, seed=70)
         _records_exactly_equal(seq, bat)
 
     def test_snh_noise_trials_bit_identical_within_tier(self):
@@ -1032,10 +1112,13 @@ class TestFloat32Tier:
         config = _f32(CONFIGS["snh_noise"])
         factory = MATRIX_FAMILIES["wishart"]
         seq = run_trials(
-            {"block": lambda: BlockAMCSolver(config)}, factory, (6, 10, 16), 4, seed=70
+            {"block": lambda: BlockAMCSolver(config),
+             "stage2": lambda: MultiStageSolver(config)},
+            factory, (6, 10, 16), 4, seed=70,
         )
         bat = run_trials_batched(
-            {"block": BlockAMCSolver(config)}, factory, (6, 10, 16), 4, seed=70
+            {"block": BlockAMCSolver(config), "stage2": MultiStageSolver(config)},
+            factory, (6, 10, 16), 4, seed=70,
         )
         _records_exactly_equal(seq, bat)
 
@@ -1089,7 +1172,8 @@ class TestMarginDriftGuard:
 
     These tests demonstrate the suite's detection power: reintroducing a
     private ranging margin in one path (simulated by patching only the
-    batched engine's view of ``auto_range_many``) makes the equivalence
+    batched engine's view of ``auto_range_many`` — the solver-tree nodes
+    the trials engine runs original AMC on) makes the equivalence
     assertions fail on a ranging-heavy workload.
     """
 
@@ -1146,7 +1230,7 @@ class TestMarginDriftGuard:
             return final, final_k
 
         monkeypatch.setattr(
-            batched_module, "auto_range_many", skewed_auto_range_many
+            multistage_module, "auto_range_many", skewed_auto_range_many
         )
         config = CONFIGS["variation"]
         seq, bat = self._sweep(
@@ -1169,7 +1253,13 @@ class TestMarginDriftGuard:
         import repro.core.original as original_module
 
         assert QUANTIZATION_MARGIN == 0.95
-        for module in (batched_module, blockamc_module, ops_module, original_module):
+        for module in (
+            batched_module,
+            blockamc_module,
+            multistage_module,
+            ops_module,
+            original_module,
+        ):
             source = inspect.getsource(module)
             assert "0.95" not in source, (
                 f"{module.__name__} re-states the ranging margin; use "

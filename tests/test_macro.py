@@ -1,8 +1,14 @@
-"""Tests for the one-stage BlockAMC macro (five-step schedule, Fig. 4)."""
+"""Tests for the one-stage BlockAMC macro (five-step schedule, Fig. 4).
+
+The schedule runs here through the scalar oracle's macro walk
+(:func:`oracles.scalar.solve_macro`), so these tests hold the oracle
+itself to exact algebra and to the paper's step signs.
+"""
 
 import numpy as np
 import pytest
 
+from oracles.scalar import solve_macro
 from repro.amc.config import HardwareConfig
 from repro.amc.macro import BlockAMCMacro, MacroArrays
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
@@ -52,7 +58,7 @@ class TestFiveStepAlgorithm:
         matrix = wishart_matrix(8, rng=1)
         macro, normalized, _ = _macro(matrix)
         b = random_vector(8, rng=2) * 0.4
-        result = macro.solve(b[:4], b[4:], rng=3)
+        result = solve_macro(macro, b[:4], b[4:], rng=3)
         expected = np.linalg.solve(normalized, b)
         np.testing.assert_allclose(result.solution, expected, rtol=1e-9, atol=1e-11)
 
@@ -62,7 +68,7 @@ class TestFiveStepAlgorithm:
         macro, normalized, blocks = _macro(matrix)
         b = random_vector(6, rng=5) * 0.3
         f, g = b[:3], b[3:]
-        result = macro.solve(f, g, rng=6)
+        result = solve_macro(macro, f, g, rng=6)
 
         y_t = np.linalg.solve(blocks.a1, f)
         g_t = blocks.a3 @ y_t
@@ -81,7 +87,7 @@ class TestFiveStepAlgorithm:
         matrix = wishart_matrix(6, rng=7)
         macro, _, _ = _macro(matrix)
         b = random_vector(6, rng=8) * 0.3
-        result = macro.solve(b[:3], b[3:], rng=9)
+        result = solve_macro(macro, b[:3], b[3:], rng=9)
         for step, reference in result.reference_steps.items():
             actual = next(s.output for s in result.steps if s.label.startswith(step))
             np.testing.assert_allclose(actual, reference, atol=1e-9)
@@ -90,7 +96,7 @@ class TestFiveStepAlgorithm:
         matrix = wishart_matrix(7, rng=10)
         macro, normalized, _ = _macro(matrix, split=2)
         b = random_vector(7, rng=11) * 0.3
-        result = macro.solve(b[:2], b[2:], rng=12)
+        result = solve_macro(macro, b[:2], b[2:], rng=12)
         np.testing.assert_allclose(
             result.solution, np.linalg.solve(normalized, b), rtol=1e-8, atol=1e-10
         )
@@ -110,7 +116,7 @@ class TestFiveStepAlgorithm:
         assert blocks.schur_scale > 1.0
         macro, normalized, _ = _macro(matrix)
         b = np.array([0.1, -0.2, 0.3, 0.15])
-        result = macro.solve(b[:2], b[2:], rng=0)
+        result = solve_macro(macro, b[:2], b[2:], rng=0)
         np.testing.assert_allclose(
             result.solution, np.linalg.solve(normalized, b), rtol=1e-9, atol=1e-11
         )
@@ -119,7 +125,7 @@ class TestFiveStepAlgorithm:
 class TestTelemetryAndResources:
     def test_five_steps_recorded(self):
         macro, _, _ = _macro(wishart_matrix(6, rng=13))
-        result = macro.solve(np.full(3, 0.2), np.full(3, 0.1), rng=14)
+        result = solve_macro(macro, np.full(3, 0.2), np.full(3, 0.1), rng=14)
         assert len(result.steps) == 5
         kinds = [s.kind for s in result.steps]
         assert kinds == ["inv", "mvm", "inv", "mvm", "inv"]
@@ -137,7 +143,7 @@ class TestTelemetryAndResources:
 
     def test_analog_time_positive(self):
         macro, _, _ = _macro(wishart_matrix(6, rng=17))
-        result = macro.solve(np.full(3, 0.2), np.full(3, 0.1), rng=18)
+        result = solve_macro(macro, np.full(3, 0.2), np.full(3, 0.1), rng=18)
         assert result.analog_time_s > 0.0
 
     def test_input_size_validated(self):
@@ -145,4 +151,4 @@ class TestTelemetryAndResources:
         from repro.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            macro.solve(np.zeros(2), np.zeros(3))
+            solve_macro(macro, np.zeros(2), np.zeros(3))
