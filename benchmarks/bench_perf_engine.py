@@ -8,7 +8,10 @@ Three comparisons, matching the engine's three layers:
    assembly + per-column solves (``method="loop"``) vs. the Schur/banded
    engine (target >= 10x).
 2. The tier-1-scale Fig. 7 variation sweep — sequential ``run_trials``
-   vs. trial-batched ``run_trials_batched`` (target >= 3x).
+   vs. trial-batched ``run_trials_batched`` (target >= 3x). The
+   sequential original-AMC trials walk the scalar oracle, the
+   one-vector-at-a-time reference that solver's prepared solves used
+   to run.
 3. 64 right-hand sides against one programmed one-stage solver — a
    loop of scalar oracle solves (``tests/oracles/scalar.py``, the
    one-vector-at-a-time reference every prepared solve used to run)
@@ -47,7 +50,7 @@ from repro.crossbar.parasitics import (
 )
 from repro.serve.cache import PreparedKey, prepare_entry
 from repro.workloads.matrices import random_vector, wishart_matrix
-from tests.oracles.scalar import oracle_solve
+from tests.oracles.scalar import OracleSolver, oracle_solve
 
 #: Tier-1-scale sweep shape (the CI-friendly Fig. 7 configuration).
 SWEEP_SIZES = (8, 16, 32)
@@ -128,7 +131,7 @@ def test_variation_sweep_tier1(report):
     def sequential():
         return run_trials(
             {
-                "original-amc": lambda: OriginalAMCSolver(config),
+                "original-amc": lambda: OracleSolver(OriginalAMCSolver(config)),
                 "blockamc-1stage": lambda: BlockAMCSolver(config),
             },
             lambda n, rng: wishart_matrix(n, rng),

@@ -52,11 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.circuits.dynamics import (
-    inv_eigenvalue_margin,
-    inv_settling_time,
-    mvm_settling_time,
-)
+from repro.circuits.dynamics import inv_settling_or_inf, mvm_settling_time
 from repro.circuits.generators import build_inv_circuit, build_mvm_circuit
 from repro.circuits.mna import assemble_mna
 from repro.core.common import (
@@ -348,16 +344,8 @@ class AMCOperations:
         )
 
     def _inv_settle(self, effective: np.ndarray) -> float:
-        """Settling estimate; unstable circuits report infinite time.
-
-        The eigenvalue margin is computed once and shared between the
-        stability check and the settling formula (one ``eigvals`` call
-        per operation, not two).
-        """
-        margin = inv_eigenvalue_margin(effective)
-        if margin <= 0.0:
-            return math.inf
-        return inv_settling_time(effective, self.config.opamp.gbwp_hz, margin=margin)
+        """Settling estimate; unstable circuits report infinite time."""
+        return inv_settling_or_inf(effective, self.config.opamp.gbwp_hz)
 
     def _inv_mna(
         self,

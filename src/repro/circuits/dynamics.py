@@ -35,14 +35,15 @@ def mvm_settling_time(
     g_feedback: float,
     gbwp_hz: float,
     epsilon: float = DEFAULT_EPSILON,
-) -> float:
+):
     """Settling time (seconds) of the MVM circuit.
 
     Parameters
     ----------
     g:
         Total conductance array loading the TIAs (siemens) — for a dual
-        array pair pass ``g_pos + g_neg``.
+        array pair pass ``g_pos + g_neg``. A ``(trials, rows, cols)``
+        stack gives one time per trial (an array); a single array a float.
     g_feedback:
         TIA feedback conductance (``G0``).
     gbwp_hz:
@@ -50,25 +51,28 @@ def mvm_settling_time(
     epsilon:
         Settling target: output within ``epsilon`` of its final value.
     """
-    g = check_matrix(g, "g")
+    g = check_matrix(g, "g") if np.ndim(g) == 2 else np.asarray(g, dtype=float)
     check_positive(g_feedback, "g_feedback")
     check_positive(gbwp_hz, "gbwp_hz")
     check_positive(epsilon, "epsilon")
-    max_row_sum = float(np.max(g.sum(axis=1)))
+    max_row_sum = np.max(g.sum(axis=-1), axis=-1)
     noise_gain = 1.0 + (g_feedback + max_row_sum) / g_feedback
     tau = noise_gain / (2.0 * np.pi * gbwp_hz)
-    return float(np.log(1.0 / epsilon) * tau)
+    return _scalar_or_stack(np.log(1.0 / epsilon) * tau)
 
 
-def inv_eigenvalue_margin(matrix: np.ndarray) -> float:
+def inv_eigenvalue_margin(matrix: np.ndarray):
     """Smallest real part among the eigenvalues of the normalized matrix.
 
     Positive margin means the INV feedback loop has a stable equilibrium
     (all poles in the left half-plane for the single-pole op-amp model).
+    A ``(trials, n, n)`` stack gives one margin per trial (an array, from
+    one stacked ``eigvals`` call); a single matrix a float.
     """
-    matrix = check_square_matrix(matrix)
+    if np.ndim(matrix) == 2:
+        matrix = check_square_matrix(matrix)
     eigenvalues = np.linalg.eigvals(matrix)
-    return float(np.min(eigenvalues.real))
+    return _scalar_or_stack(np.min(eigenvalues.real, axis=-1))
 
 
 def is_inv_stable(matrix: np.ndarray, margin: float = 0.0) -> bool:
@@ -106,5 +110,32 @@ def inv_settling_time(
         raise ConvergenceError(
             f"INV circuit unstable: smallest eigenvalue real part {margin:.3g} <= 0"
         )
-    tau = (1.0 + 1.0 / margin) / (2.0 * np.pi * gbwp_hz)
-    return float(np.log(1.0 / epsilon) * tau)
+    return _inv_time(margin, gbwp_hz, epsilon)
+
+
+def inv_settling_or_inf(
+    matrix: np.ndarray, gbwp_hz: float, epsilon: float = DEFAULT_EPSILON
+):
+    """INV settling time as the simulated operations report it.
+
+    Like :func:`inv_settling_time`, but an array with no stable
+    equilibrium (margin ``<= 0``) reports ``inf`` instead of raising: the
+    solvers still return the algebraic equilibrium and flag the time.
+    A ``(trials, n, n)`` stack gives one time per trial.
+    """
+    check_positive(gbwp_hz, "gbwp_hz")
+    check_positive(epsilon, "epsilon")
+    return _inv_time(inv_eigenvalue_margin(matrix), gbwp_hz, epsilon)
+
+
+def _inv_time(margin, gbwp_hz: float, epsilon: float):
+    """``ln(1/eps) (1 + 1/margin) / (2 pi f_GBW)``; ``inf`` where margin <= 0."""
+    margin = np.asarray(margin, dtype=float)
+    with np.errstate(divide="ignore"):
+        tau = (1.0 + 1.0 / margin) / (2.0 * np.pi * gbwp_hz)
+    return _scalar_or_stack(np.where(margin <= 0.0, np.inf, np.log(1.0 / epsilon) * tau))
+
+
+def _scalar_or_stack(values: np.ndarray):
+    """A Python float for one array's result; the per-trial array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values

@@ -33,14 +33,13 @@ trial.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.circuits.dynamics import DEFAULT_EPSILON
-from repro.core.blockamc import BatchedFiveStep, BlockAMCSolver, SumTally, _Stage
+from repro.circuits.dynamics import inv_settling_or_inf, mvm_settling_time
+from repro.core.blockamc import BatchedFiveStep, SumTally, _Stage
 from repro.core.common import (
     FactoredSystem,
     LazyOffsets,
@@ -51,13 +50,7 @@ from repro.core.common import (
     mvm_raw,
     solve_slices,
 )
-from repro.core.multistage import (
-    MultiStageSolver,
-    _build_node,
-    _DirectInvNode,
-    _MacroNode,
-)
-from repro.core.original import OriginalAMCSolver
+from repro.core.multistage import MultiStageSolver
 from repro.core.partition import PreparedBlocks
 from repro.crossbar.parasitics import (
     exact_effective_matrix_batch,
@@ -98,29 +91,17 @@ def is_batchable_config(config: HardwareConfig) -> bool:
 def make_batched_runner(solver):
     """Return a batched runner for ``solver``, or ``None`` if unsupported.
 
-    Supported solvers are :class:`~repro.core.original.OriginalAMCSolver`,
+    Supported solvers build a solver tree — ``solver.build(matrix,
+    programming)``: :class:`~repro.core.original.OriginalAMCSolver`,
     :class:`~repro.core.blockamc.BlockAMCSolver` and
-    :class:`~repro.core.multistage.MultiStageSolver` (any depth), each
+    :class:`~repro.core.multistage.MultiStageSolver` (any depth) — each
     with a batchable :class:`~repro.amc.config.HardwareConfig`. The
-    runner exposes ``run(matrices, bs, hardware_seeds) ->
-    list[TrialOutcome]``.
+    runner builds that tree from :class:`StackedProgramming` and exposes
+    ``run(matrices, bs, hardware_seeds) -> list[TrialOutcome]``.
     """
-    if isinstance(solver, OriginalAMCSolver):
-        build = partial(_DirectInvNode, fraction=solver.input_fraction)
-    elif isinstance(solver, BlockAMCSolver):
-        build = partial(
-            _MacroNode, partition=solver.partition, fraction=solver.input_fraction
-        )
-    elif isinstance(solver, MultiStageSolver):
-        build = partial(
-            _build_node, depth_remaining=solver.stages, partition=solver.partition,
-            fraction=solver.input_fraction,
-        )
-    else:
+    if not hasattr(solver, "build") or not is_batchable_config(solver.config):
         return None
-    if not is_batchable_config(solver.config):
-        return None
-    return _TrialsRunner(solver, build)
+    return _TrialsRunner(solver)
 
 
 # ----------------------------------------------------------------------
@@ -215,28 +196,11 @@ class _ArrayBatch:
         # Settling analysis stays on the float64 effectives (like the
         # scalar ops, which analyze before casting) so timing metadata
         # is tier-independent.
-        self._settle_effective = (eff_pos - eff_neg) / g_unit  # (T, r, c)
-        self.effective = bk.cast(self._settle_effective)
-        g_total = g_pos + g_neg
-        self.load_row_sums = bk.cast(g_total.sum(axis=2) / g_unit)  # (T, r)
-        self.max_row_total = g_total.sum(axis=2).max(axis=1)  # (T,)
+        self.settle_effective = (eff_pos - eff_neg) / g_unit  # (T, r, c)
+        self.effective = bk.cast(self.settle_effective)
+        self.g_total = g_pos + g_neg
+        self.load_row_sums = bk.cast(self.g_total.sum(axis=2) / g_unit)  # (T, r)
         self.shape = blocks.shape[1:]
-
-    def mvm_settle(self) -> np.ndarray:
-        """Batched :func:`repro.circuits.dynamics.mvm_settling_time`."""
-        g_fb = self.config.g_unit
-        gbwp = self.config.opamp.gbwp_hz
-        noise_gain = 1.0 + (g_fb + self.max_row_total) / g_fb
-        tau = noise_gain / (2.0 * np.pi * gbwp)
-        return np.log(1.0 / DEFAULT_EPSILON) * tau
-
-    def inv_settle(self) -> np.ndarray:
-        """Batched INV settling times (one stacked ``eigvals`` call)."""
-        gbwp = self.config.opamp.gbwp_hz
-        margins = np.min(np.linalg.eigvals(self._settle_effective).real, axis=1)
-        with np.errstate(divide="ignore"):
-            tau = (1.0 + 1.0 / margins) / (2.0 * np.pi * gbwp)
-        return np.where(margins <= 0.0, np.inf, np.log(1.0 / DEFAULT_EPSILON) * tau)
 
 
 def _rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -258,7 +222,7 @@ class StackedInvStage(_Stage):
     def __init__(self, array: _ArrayBatch, config: HardwareConfig, input_scale=1.0):
         super().__init__(config)
         self.array = array
-        self.settle = array.inv_settle()
+        self.settle = inv_settling_or_inf(array.settle_effective, config.opamp.gbwp_hz)
         trials = self.settle.shape[0]
         self.input_scale = np.broadcast_to(np.asarray(input_scale, dtype=float), (trials,))
         self.loading = inv_loading(array.load_row_sums, self.input_scale)
@@ -287,7 +251,7 @@ class StackedMvmStage(_Stage):
         super().__init__(config)
         self.array = array
         self.a0 = config.opamp.open_loop_gain
-        self.settle = array.mvm_settle()
+        self.settle = mvm_settling_time(array.g_total, config.g_unit, config.opamp.gbwp_hz)
 
     def raw(self, v_in, offsets, indices):
         array = self.array
@@ -372,7 +336,7 @@ class StackedProgramming:
         trial, where the scalar schedule first uses that column size.
         """
         sigma, rngs = self.config.opamp.input_offset_sigma_v, self.rngs
-        columns = LazyOffsets(lambda size: draw_offsets_batch(sigma, [size], rngs)[size])
+        columns = LazyOffsets(lambda size: draw_offsets_batch(sigma, size, rngs))
         return lambda _rngs: columns
 
     def macro(self, blocks: PreparedBlocks) -> tuple[None, BatchedFiveStep]:
@@ -391,17 +355,16 @@ class StackedProgramming:
 class _TrialsRunner:
     """All trials of one size through one stacked solver tree."""
 
-    def __init__(self, solver, build):
+    def __init__(self, solver):
         self.solver = solver
         self.config = solver.config
-        self.build = build
 
     def run(self, matrices: np.ndarray, bs: np.ndarray, hardware_seeds) -> list:
         if not len(hardware_seeds):
             return []  # no trials: nothing to program (empty stacks cannot be)
         rngs = [np.random.default_rng(seed) for seed in hardware_seeds]
         try:
-            root = self.build(matrices, programming=StackedProgramming(self.config, rngs))
+            root = self.solver.build(matrices, StackedProgramming(self.config, rngs))
         except _ZeroTilesDiffer:
             return solve_per_trial(self.solver, matrices, bs, hardware_seeds)
         tally = SumTally(len(rngs))

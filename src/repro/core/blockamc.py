@@ -14,6 +14,9 @@ Typical use::
 ``prepare`` / ``PreparedBlockAMC.solve`` split programming from
 execution for workloads that solve many right-hand sides against one
 matrix (programming — and its variation draw — happens once).
+:class:`PreparedTree` is the front all three prepared solvers share
+(original AMC, one-stage and multi-stage BlockAMC): one programmed
+solver tree, many right-hand sides.
 """
 
 from __future__ import annotations
@@ -59,12 +62,11 @@ def has_per_operation_randomness(config: HardwareConfig) -> bool:
     Op-amp output noise and sample-and-hold noise consume the generator
     once per operation (and per gain-ranging attempt). With one shared
     generator, a batch must therefore run column by column to replay
-    the sequential stream: :meth:`PreparedBlockAMC.solve_many` and
-    :meth:`~repro.core.multistage.PreparedMultiStage.solve_many` then
-    run the cached engines batch-of-1 per right-hand side, and the
-    serve layer (:mod:`repro.serve.cache`) does not coalesce such
-    entries. MNA routing draws nothing per operation (its quasi-static
-    offsets are drawn once, like the algebraic path's), so it batches.
+    the sequential stream: :meth:`PreparedTree.solve_many` then runs
+    the cached engines batch-of-1 per right-hand side, and the serve
+    layer (:mod:`repro.serve.cache`) does not coalesce such entries.
+    MNA routing draws nothing per operation (its quasi-static offsets
+    are drawn once, like the algebraic path's), so it batches.
     Keep these sites in agreement by keeping them on this function.
     """
     return (
@@ -244,6 +246,9 @@ class OpTally:
     specs: list[BatchedOpSpec] = field(default_factory=list)
     dac_conversions: int = 0
     adc_conversions: int = 0
+    #: Per-row accepted input scales of the last terminal node that ran
+    #: (a one-terminal tree's DAC scaling, reported as ``input_scale``).
+    input_scale: np.ndarray | None = None
 
     def record(self, label: str, stage, outputs, inputs, saturated) -> None:
         """One operation's accepted outputs; ideal outputs from its ``inputs``."""
@@ -275,6 +280,7 @@ class SumTally:
         self.saturated = np.zeros(rows, dtype=bool)
         self.analog_time_s = np.zeros(rows)
         self.dac_conversions = self.adc_conversions = 0
+        self.input_scale: np.ndarray | None = None  # as in OpTally
 
     def record(self, label, stage, outputs, inputs, saturated) -> None:
         self.saturated |= saturated
@@ -348,10 +354,10 @@ class BatchedFiveStep:
     the same vector through the same arrays one
     :class:`~repro.amc.ops.AMCOperations` op at a time with ``rngs[c]``.
 
-    This is the schedule's only body: :meth:`PreparedBlockAMC.solve`
-    and ``solve_many``, the multi-stage tree's macro nodes
-    (:mod:`repro.core.multistage`), and through them the trials engine
-    (:mod:`repro.core.batched`) all run here.
+    This is the schedule's only body: every macro node of a solver tree
+    (:mod:`repro.core.multistage`) runs here — the root of a prepared
+    one-stage solver, the terminals of a multi-stage one, and through
+    them the trials engine (:mod:`repro.core.batched`).
     """
 
     def __init__(self, programming, ops, a1, a2, a3, a4s, schur_input_scale):
@@ -394,8 +400,8 @@ class BatchedFiveStep:
         draws; offsets come from the engine's source). Returns
         ``(final, final_k)`` from
         :func:`repro.core.common.auto_range_many`: the accepted step
-        outputs/inputs (``s1``..``s5``, ``in1``..``in5``, ``f``, ``g``,
-        ``sat``) and the accepted per-row input scales.
+        outputs/inputs (``s1``..``s5``, ``in1``..``in5``, ``sat``) and
+        the accepted per-row input scales.
         """
         v_fs, dac_bits = self.conv.v_fs, self.conv.dac_bits
         split = self.split
@@ -407,13 +413,10 @@ class BatchedFiveStep:
             def op(stage, v_in, off):
                 return stage.op(v_in, off, noise, indices)
 
-            f = k[:, None] * bs[indices, :split]
-            g = k[:, None] * bs[indices, split:]
             # DAC outputs enter the analog tier: cast to backend dtype
-            # (identity on float64). ``f``/``g`` stay float64 for the
-            # exact per-step references.
-            v_f = cast(quantize_voltages(f, dac_bits, v_fs))
-            v_g = cast(quantize_voltages(g, dac_bits, v_fs))
+            # (identity on float64).
+            v_f = cast(quantize_voltages(k[:, None] * bs[indices, :split], dac_bits, v_fs))
+            v_g = cast(quantize_voltages(k[:, None] * bs[indices, split:], dac_bits, v_fs))
             # Stream order per row matches the scalar schedule:
             # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
             off_k = offsets.take(split, indices)
@@ -434,7 +437,6 @@ class BatchedFiveStep:
             payload = {
                 "s1": s1, "s2": s2, "s3": s3, "s4": s4, "s5": s5,
                 "in1": v_f, "in2": h1, "in3": in3, "in4": h3, "in5": in5,
-                "f": f, "g": g,
                 "sat": np.stack([sat1, sat2, sat3, sat4, sat5], axis=1),
             }
             return peaks, payload
@@ -461,11 +463,12 @@ class BatchedFiveStep:
         for num, (label, stage) in enumerate(self.steps, start=1):
             tally.record(label, stage, final[f"s{num}"], final[f"in{num}"], sat[:, num - 1])
 
-    def reference(self, final: dict) -> dict[str, np.ndarray]:
+    def reference(self, bs: np.ndarray, final_k: np.ndarray) -> dict[str, np.ndarray]:
         """Exact-arithmetic per-step references (Fig. 6a curves), batched.
 
-        Shared stages only: the references come from the programmed
-        arrays' targets.
+        Computed from each row's accepted pre-DAC inputs ``k * b`` (the
+        products the schedule formed). Shared stages only: the
+        references come from the programmed arrays' targets.
         """
         if self._schur_reference is None:
             inv4 = self.inv4
@@ -473,67 +476,34 @@ class BatchedFiveStep:
                 inv4.ops._ideal_matrix(inv4.array) / inv4.input_scale,
                 what="Schur block",
             )
+        v_b = final_k[:, None] * bs
         return reference_schedule(
             self.inv1.ideal_system, self.mvm2.ideal_matrix, self.mvm3.ideal_matrix,
-            self._schur_reference, final["f"], final["g"],
+            self._schur_reference, v_b[:, : self.split], v_b[:, self.split :],
         )
-
-
-def solve_in_blocks(solve_block, rhs_batch, n: int, config, rng, lean: bool) -> tuple:
-    """The shared front half of the prepared solvers' ``solve_many``.
-
-    Validates the right-hand sides, then runs ``solve_block(bs, rngs,
-    lean)`` once over the whole batch — or, when the configuration
-    draws per-operation noise from the one shared generator, once per
-    right-hand side (batch-of-1 on the same cached engines), which is
-    what keeps the stream in sequential-loop order.
-    """
-    rhs_list = [np.asarray(b, dtype=float) for b in rhs_batch]
-    if not rhs_list:
-        raise ValidationError("rhs_batch must contain at least one vector")
-    bs = np.stack([check_vector(b, "b", size=n) for b in rhs_list])
-    rng = as_generator(rng)
-    if has_per_operation_randomness(config):
-        return tuple(
-            result
-            for c in range(len(bs))
-            for result in solve_block(bs[c : c + 1], [rng], lean)
-        )
-    return solve_block(bs, [rng] * len(bs), lean)
 
 
 @dataclass(frozen=True)
-class PreparedBlockAMC:
-    """A programmed one-stage solver bound to one matrix."""
+class PreparedTree:
+    """A programmed solver tree bound to one matrix: the prepared solvers' front.
+
+    ``root`` is the tree the solver's ``build`` made from
+    :class:`Programming` — a direct-INV node (original AMC), a macro
+    node (one-stage BlockAMC) or the multi-stage recursion — and every
+    solve runs through it. Subclasses differ only in result assembly:
+    the reported ``solver`` name and :meth:`_metadata`.
+    """
 
     matrix: np.ndarray
-    scale: float
-    macro: BlockAMCMacro
-    split: int
-    schur_scale: float
-    input_fraction: float
-
-    @property
-    def _engine(self) -> BatchedFiveStep:
-        """The macro's five-step engine, built on first use and cached.
-
-        Pure derived state (stored outside the frozen fields): offsets
-        live in the macro's own quasi-static cache, so caching the
-        engine changes no random stream.
-        """
-        engine = self.__dict__.get("_five_step")
-        if engine is None:
-            engine = BatchedFiveStep.of_macro(self.macro)
-            object.__setattr__(self, "_five_step", engine)
-        return engine
+    root: object
 
     def solve(self, b: np.ndarray, rng=None) -> SolveResult:
         """Solve ``A x = b`` for a new right-hand side on the programmed arrays.
 
         Exactly ``solve_many([b], rng)[0]``: a batch of one on the cached
-        engine. Uses analog gain ranging: if any step's output approaches
+        engines. Uses analog gain ranging: if any step's output approaches
         the converter full scale, the input scale is reduced and the
-        analog pipeline rerun (see :func:`repro.core.common.auto_range`).
+        analog pipeline rerun (see :func:`repro.core.common.auto_range_many`).
         """
         b = check_vector(b, "b", size=self.matrix.shape[0])
         return self.solve_many([b], rng)[0]
@@ -543,13 +513,13 @@ class PreparedBlockAMC:
     ) -> tuple[SolveResult, ...]:
         """Solve many right-hand sides with shared per-step factorizations.
 
-        The programmed arrays, their effective matrices, and the
-        eigenvalue/settling analysis are fixed across right-hand sides,
-        so the five-step schedule runs once with *matrix-valued*
-        intermediates: each INV step is one factorization for the whole
-        batch (cached across batches) and each MVM step one contraction.
-        Gain ranging still operates per right-hand side (columns rerun
-        independently, exactly like sequential :meth:`solve` calls).
+        Programming, the effective matrices, and the eigenvalue/settling
+        analysis happened once, at preparation; the tree runs once per
+        batch with *matrix-valued* intermediates: each INV step is one
+        factorization for the whole batch (cached across batches) and
+        each MVM step one contraction. Gain ranging still operates per
+        right-hand side (columns rerun independently, exactly like
+        sequential :meth:`solve` calls).
 
         Results are **bit-identical** to a sequential loop of
         :meth:`solve` calls: every step goes through the shared kernel
@@ -559,53 +529,94 @@ class PreparedBlockAMC:
         contractions are shape-stable. Configurations that draw fresh
         noise per operation consume the one generator in sequential
         order, so they run batch-of-1 per right-hand side on the same
-        cached engine (see :func:`has_per_operation_randomness`).
+        cached engines (see :func:`has_per_operation_randomness`).
 
         With ``lean=True`` the per-result payload is a
         :class:`~repro.core.solution.LeanSolveResult`: the solution and
-        reference are the same bits, but the five per-step
+        reference are the same bits, but the per-step
         :class:`~repro.amc.ops.OpResult` objects, their ideal outputs,
         and the step-output metadata dicts are never constructed —
         result assembly dominates service-side time at scale (see
         ``BENCH_serving.json``).
         """
-        return solve_in_blocks(
-            self._solve_block, rhs_batch, self.matrix.shape[0], self.macro.config, rng, lean
-        )
+        n = self.matrix.shape[0]
+        rhs_list = [np.asarray(b, dtype=float) for b in rhs_batch]
+        if not rhs_list:
+            raise ValidationError("rhs_batch must contain at least one vector")
+        bs = np.stack([check_vector(b, "b", size=n) for b in rhs_list])
+        rng = as_generator(rng)
+        if has_per_operation_randomness(self.root.config):
+            # One shared generator: batch-of-1 per right-hand side keeps
+            # its stream in sequential-loop order.
+            return tuple(
+                result
+                for c in range(len(bs))
+                for result in self._solve_block(bs[c : c + 1], [rng], lean)
+            )
+        return self._solve_block(bs, [rng] * len(bs), lean)
 
     def _solve_block(self, bs: np.ndarray, rngs, lean: bool) -> tuple:
-        """One engine pass over row-stacked ``bs`` (``rngs[c]`` per column)."""
-        macro = self.macro
+        """One pass of the tree over row-stacked ``bs`` (``rngs[c]`` per row)."""
         batch = bs.shape[0]
-        engine = self._engine
-        final, final_k = engine.run(bs, self.input_fraction, rngs)
-        x = engine.solution(final, final_k, self.scale)
-        # The digital reference always stays float64.
-        references = solve_columns(self.matrix, bs, what="system matrix")
-
+        tally = SumTally(batch) if lean else OpTally()
+        x = self.root.solve_many(bs, tally, rngs)
+        references = self._references(bs)
         if lean:
-            sums = SumTally(batch)
-            engine.record(final, sums)
             return tuple(
                 LeanSolveResult(
                     x=x[c],
                     reference=references[c],
-                    solver="blockamc-1stage",
-                    saturated=bool(sums.saturated[c]),
-                    analog_time_s=float(sums.analog_time_s[c]),
-                    metadata={"input_scale": float(final_k[c])},
+                    solver=self.solver,
+                    saturated=bool(tally.saturated[c]),
+                    analog_time_s=float(tally.analog_time_s[c]),
+                    metadata=self._lean_metadata(tally, c),
                 )
                 for c in range(batch)
             )
+        metadata = self._metadata(bs, tally)
+        return tuple(
+            SolveResult(
+                x=x[c],
+                reference=references[c],
+                solver=self.solver,
+                operations=tuple(spec.op_result(c) for spec in tally.specs),
+                metadata=metadata[c],
+            )
+            for c in range(batch)
+        )
 
-        reference = engine.reference(final)
-        # Per-step invariants resolve once inside the specs: OpResult
-        # construction runs batch x 5 times and dominates assembly time
-        # if the macro properties are recomputed per result.
-        tally = OpTally()
-        engine.record(final, tally)
-        specs = tally.specs
-        metadata_common = {
+    def _references(self, bs: np.ndarray) -> np.ndarray:
+        """Exact digital solutions; always float64, one column at a time."""
+        return solve_columns(self.matrix, bs, what="system matrix")
+
+    def _lean_metadata(self, tally, c: int) -> dict:
+        """A lean result's metadata: the root's accepted input scale."""
+        return {"input_scale": float(tally.input_scale[c])}
+
+    def _metadata(self, bs: np.ndarray, tally: OpTally) -> list[dict]:
+        """Each full result's metadata, row by row."""
+        raise NotImplementedError
+
+
+def _from_root(name: str, doc: str) -> property:
+    """A prepared solver's attribute, read off its tree's root."""
+    return property(lambda self: getattr(self.root, name), doc=doc)
+
+
+class PreparedBlockAMC(PreparedTree):
+    """A programmed one-stage solver bound to one matrix (a macro root)."""
+
+    solver = "blockamc-1stage"
+    scale = _from_root("scale", "Normalization scale of the matrix.")
+    macro = _from_root("macro", "The programmed :class:`~repro.amc.macro.BlockAMCMacro`.")
+    split = _from_root("split", "Size of the leading block ``A1``.")
+    schur_scale = _from_root("schur_scale", "Private normalization of ``A4s``.")
+    input_fraction = _from_root("fraction", "DAC full-scale fraction of the largest input.")
+
+    def _metadata(self, bs, tally):
+        macro, scales = self.macro, tally.input_scale
+        reference = self.root.engine.reference(bs, scales)
+        common = {
             "scale": self.scale,
             "split": self.split,
             "schur_scale": self.schur_scale,
@@ -613,30 +624,18 @@ class PreparedBlockAMC:
             "dac_count": macro.dac_count,
             "adc_count": macro.adc_count,
             "device_count": macro.device_count,
-            "dac_conversions": 2,
-            "adc_conversions": 2,
+            "dac_conversions": tally.dac_conversions,
+            "adc_conversions": tally.adc_conversions,
         }
-        results = []
-        for c in range(batch):
-            steps = tuple(spec.op_result(c) for spec in specs)
-            reference_steps = {name: rows[c] for name, rows in reference.items()}
-            results.append(
-                SolveResult(
-                    x=x[c],
-                    reference=references[c],
-                    solver="blockamc-1stage",
-                    operations=steps,
-                    metadata={
-                        **metadata_common,
-                        "input_scale": float(final_k[c]),
-                        "reference_steps": reference_steps,
-                        "step_outputs": {
-                            step.label: step.output for step in steps
-                        },
-                    },
-                )
-            )
-        return tuple(results)
+        return [
+            {
+                **common,
+                "input_scale": float(scales[c]),
+                "reference_steps": {name: rows[c] for name, rows in reference.items()},
+                "step_outputs": {spec.label: spec.outputs[c] for spec in tally.specs},
+            }
+            for c in range(bs.shape[0])
+        ]
 
     def solve_batch(
         self,
@@ -726,6 +725,12 @@ class BlockAMCSolver:
         self.partition = partition or PartitionSpec()
         self.input_fraction = input_fraction
 
+    def build(self, matrix: np.ndarray, programming):
+        """The solver tree: one macro node over the whole matrix."""
+        from repro.core.multistage import _MacroNode  # multistage imports this module
+
+        return _MacroNode(matrix, programming, self.partition, self.input_fraction)
+
     def prepare(self, matrix: np.ndarray, rng=None) -> PreparedBlockAMC:
         """Normalize, preprocess, and program the macro for ``matrix``.
 
@@ -733,19 +738,8 @@ class BlockAMCSolver:
         :meth:`PreparedBlockAMC.solve` repeatedly for multiple ``b``.
         """
         matrix = check_square_matrix(matrix)
-        rng = as_generator(rng)
-        normalized, scale = normalize_matrix(matrix)
-        blocks = prepare_blocks(normalized, self.partition)
-        arrays = build_macro_arrays(blocks, self.config, rng)
-        macro = BlockAMCMacro(arrays, self.config)
-        return PreparedBlockAMC(
-            matrix=matrix,
-            scale=scale,
-            macro=macro,
-            split=blocks.split,
-            schur_scale=blocks.schur_scale,
-            input_fraction=self.input_fraction,
-        )
+        root = self.build(matrix, Programming(self.config, as_generator(rng)))
+        return PreparedBlockAMC(matrix=matrix, root=root)
 
     def solve(self, matrix: np.ndarray, b: np.ndarray, rng=None) -> SolveResult:
         """Program the arrays and solve ``A x = b`` in one call."""

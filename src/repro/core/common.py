@@ -109,6 +109,7 @@ def input_voltage_scale_many(
     Same peak arithmetic, evaluated element-wise over the stack, so each
     entry is bit-identical to the scalar call on the same row.
     """
+    check_in_range(fraction, 0.0, 1.0, "fraction", inclusive=False)
     peak = np.max(np.abs(bs), axis=-1)
     if np.any(peak == 0.0):
         raise ValidationError("b must be non-zero (the all-zero system is trivial)")
@@ -127,27 +128,15 @@ def draw_offsets(sigma: float, size: int, rng) -> np.ndarray | None:
     return as_generator(rng).normal(0.0, sigma, size=size)
 
 
-def draw_offsets_batch(sigma: float, sizes, rngs) -> dict[int, np.ndarray | None]:
-    """Per-trial op-amp offset columns, drawn in schedule-first-use order.
+def draw_offsets_batch(sigma: float, size: int, rngs) -> np.ndarray | None:
+    """Per-trial op-amp offset columns of one size: ``(trials, size)``.
 
-    Mirrors the scalar path (one draw per distinct column size per
-    trial, cached for the rest of that trial's schedule), consuming each
-    trial's generator in exactly the scalar order so the samples are
-    bit-identical.
+    Row ``t`` is drawn from ``rngs[t]``, so it is bit-identical to
+    :func:`draw_offsets` on that trial's generator (``None`` when ideal).
     """
     if sigma == 0.0:
-        return {size: None for size in sizes}
-    distinct: list[int] = []
-    for size in sizes:
-        if size not in distinct:
-            distinct.append(size)
-    out: dict[int, np.ndarray] = {
-        size: np.empty((len(rngs), size)) for size in distinct
-    }
-    for t, rng in enumerate(rngs):
-        for size in distinct:
-            out[size][t] = rng.normal(0.0, sigma, size=size)
-    return out
+        return None
+    return np.stack([rng.normal(0.0, sigma, size=size) for rng in rngs])
 
 
 # ----------------------------------------------------------------------
@@ -342,36 +331,24 @@ def inv_rhs(
     return rhs
 
 
-def inv_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the INV node equations, dispatching on the kernel shape.
-
-    - ``system (n, n)``, ``rhs (n,)`` or ``(rhs, n)``: one factorization,
-      one ``getrs`` column at a time (see :class:`FactoredSystem`);
-    - ``system (trials, n, n)``, ``rhs (trials, n)``: the same calls,
-      slice by slice.
-    """
-    if system.ndim == 2:
-        return FactoredSystem(system).solve(rhs)
-    return solve_slices(system, rhs)
-
-
 def inv_raw(
     effective: np.ndarray,
     load_row_sums: np.ndarray,
     v_in: np.ndarray,
     offsets: np.ndarray | None,
-    input_scale,
+    input_scale: float,
     open_loop_gain: float,
 ) -> np.ndarray:
     """Raw (pre-saturation) INV outputs: solve the finite-gain system.
 
     ``(M + D / A0) v_out = -s * v_in + (s + L) * vos, D = diag(s + L)``
-    — shape-generic; ``input_scale`` may be a float or a ``(trials,)``
-    per-trial array (the Schur block's private normalization).
+    for one array and ``(n,)`` or row-stacked ``(rhs, n)`` inputs (stacked
+    trials factor each trial's system once; see
+    :class:`repro.core.batched.StackedInvStage`).
     """
     loading = inv_loading(load_row_sums, input_scale)
     rhs = inv_rhs(v_in, loading, offsets, input_scale)
-    return inv_solve(inv_system(effective, loading, open_loop_gain), rhs)
+    return FactoredSystem(inv_system(effective, loading, open_loop_gain)).solve(rhs)
 
 
 # ----------------------------------------------------------------------

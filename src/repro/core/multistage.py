@@ -27,7 +27,7 @@ import numpy as np
 from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import quantize_voltages
 from repro.amc.ops import AMCOperations
-from repro.core.blockamc import OpTally, Programming, SumTally, solve_in_blocks
+from repro.core.blockamc import PreparedTree, Programming
 from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
     NoiseDraws,
@@ -35,10 +35,10 @@ from repro.core.common import (
     input_voltage_scale_many,
 )
 from repro.core.partition import PartitionSpec
-from repro.core.solution import LeanSolveResult, SolveResult
+from repro.core.solution import SolveResult
 from repro.errors import SolverError
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_square_matrix, check_vector
+from repro.utils.validation import check_square_matrix
 
 
 @dataclass
@@ -153,9 +153,10 @@ class _MacroNode:
         self.fraction = fraction
         normalized, self.scale = programming.normalize(block)
         blocks = programming.prepare(normalized, partition)
-        self.split = blocks.split
+        self.split, self.schur_scale = blocks.split, blocks.schur_scale
         # The macro itself exists for shared programming only (resource
-        # counts, the scalar oracle); the engine exists for both.
+        # counts, result metadata, the scalar oracle); the engine exists
+        # for both.
         self.macro, self.engine = programming.macro(blocks)
 
     @property
@@ -178,6 +179,7 @@ class _MacroNode:
         engine = self.engine
         final, final_k = engine.run(rhs_rows, self.fraction, rngs)
         engine.record(final, tally)
+        tally.input_scale = final_k
         tally.dac_conversions += 2
         tally.adc_conversions += 2
         return engine.solution(final, final_k, self.scale)
@@ -187,13 +189,16 @@ class _DirectInvNode:
     """Terminal node that runs one INV over its whole block.
 
     Blocks too small to partition (n < 2) end the recursion here; over
-    a full matrix it is the original (monolithic) AMC solver, which is
-    how the trials engine runs that baseline.
+    a full matrix it is the original (monolithic) AMC solver, whose
+    operation carries the ``label`` ``"INV(A)"``.
     """
 
-    def __init__(self, block: np.ndarray, programming, fraction: float):
+    def __init__(
+        self, block: np.ndarray, programming, fraction: float, label: str = "direct-inv"
+    ):
         self.config = config = programming.config
         self.fraction = fraction
+        self.label = label
         normalized, self.scale = programming.normalize(block)
         self.size = normalized.shape[-1]
         self.array = programming.program(normalized)
@@ -223,7 +228,8 @@ class _DirectInvNode:
 
         k0 = input_voltage_scale_many(rhs_rows, v_fs, self.fraction)
         final, final_k = auto_range_many(run_subset, k0, v_fs)
-        tally.record("direct-inv", stage, final["out"], final["v_in"], final["sat"])
+        tally.record(self.label, stage, final["out"], final["v_in"], final["sat"])
+        tally.input_scale = final_k
         tally.dac_conversions += 1
         tally.adc_conversions += 1
         digitized = quantize_voltages(final["out"], conv.adc_bits, v_fs)
@@ -297,73 +303,30 @@ def _build_node(block, depth_remaining, programming, partition, fraction):
 
 
 @dataclass(frozen=True)
-class PreparedMultiStage:
-    """A programmed multi-stage solver bound to one matrix."""
+class PreparedMultiStage(PreparedTree):
+    """A programmed multi-stage solver bound to one matrix.
 
-    matrix: np.ndarray
-    root: object
+    ``solve_many`` runs the recursion matrix-valued: ``(batch, n)``
+    blocks flow through the digital glue, every macro node executes the
+    five-step schedule once per batch, and tile MVMs run the shared
+    multi-RHS kernel.
+    """
+
     stages: int
 
-    def solve(self, b: np.ndarray, rng=None) -> SolveResult:
-        """Solve ``A x = b`` on the programmed solver tree.
+    @property
+    def solver(self) -> str:
+        return f"blockamc-{self.stages}stage"
 
-        Exactly ``solve_many([b], rng)[0]``: a batch of one through the
-        tree's cached engines.
-        """
-        b = check_vector(b, "b", size=self.matrix.shape[0])
-        return self.solve_many([b], rng)[0]
-
-    def solve_many(
-        self, rhs_batch, rng=None, *, lean: bool = False
-    ) -> tuple[SolveResult, ...]:
-        """Solve a batch of right-hand sides on the programmed tree.
-
-        Programming the whole solver tree — including every tile array's
-        variation draw and parasitic extraction — happened once in
-        :meth:`MultiStageSolver.prepare`; this method amortizes that
-        setup across the batch *and* runs the recursion matrix-valued:
-        ``(batch, n)`` blocks flow through the digital glue, every
-        macro node executes the five-step schedule once per batch
-        through :class:`~repro.core.blockamc.BatchedFiveStep` (factor
-        once, per-column ``getrs``), and tile MVMs run the shared
-        multi-RHS kernel. Results are **bit-identical** to a sequential
-        loop of :meth:`solve` calls — the same contract as
-        :meth:`~repro.core.blockamc.PreparedBlockAMC.solve_many`,
-        including its rule for configurations with per-operation noise
-        (batch-of-1 per right-hand side, sharing the one generator).
-
-        With ``lean=True`` the per-result payload is a
-        :class:`~repro.core.solution.LeanSolveResult` (same solution
-        bits, no per-operation OpResult construction).
-        """
-        return solve_in_blocks(
-            self._solve_block, rhs_batch, self.matrix.shape[0], self.root.config, rng, lean
-        )
-
-    def _solve_block(self, bs: np.ndarray, rngs, lean: bool) -> tuple:
-        """One pass of the tree over row-stacked ``bs`` (``rngs[c]`` per row)."""
-        batch = bs.shape[0]
-        tally = SumTally(batch) if lean else OpTally()
-        x = self.root.solve_many(bs, tally, rngs)
+    def _references(self, bs: np.ndarray) -> np.ndarray:
         # Per-column exact references through np.linalg.solve, one
         # vector at a time (the reference's bits never see the batch).
-        references = np.stack(
-            [np.linalg.solve(self.matrix, bs[c]) for c in range(batch)]
-        )
-        solver = f"blockamc-{self.stages}stage"
-        if lean:
-            return tuple(
-                LeanSolveResult(
-                    x=x[c],
-                    reference=references[c],
-                    solver=solver,
-                    saturated=bool(tally.saturated[c]),
-                    analog_time_s=float(tally.analog_time_s[c]),
-                    metadata={},
-                )
-                for c in range(batch)
-            )
+        return np.stack([np.linalg.solve(self.matrix, b) for b in bs])
 
+    def _lean_metadata(self, tally, c: int) -> dict:
+        return {}  # the tree ranges per node: no one input scale
+
+    def _metadata(self, bs, tally):
         counts = _ResourceCount()
         self.root.count_resources(counts)
         metadata = {
@@ -374,16 +337,7 @@ class PreparedMultiStage:
             "dac_conversions": tally.dac_conversions,
             "adc_conversions": tally.adc_conversions,
         }
-        return tuple(
-            SolveResult(
-                x=x[c],
-                reference=references[c],
-                solver=solver,
-                operations=tuple(spec.op_result(c) for spec in tally.specs),
-                metadata=dict(metadata),
-            )
-            for c in range(batch)
-        )
+        return [dict(metadata) for _ in range(bs.shape[0])]
 
 
 class MultiStageSolver:
@@ -412,14 +366,16 @@ class MultiStageSolver:
         """Solver identifier used in reports."""
         return f"blockamc-{self.stages}stage"
 
+    def build(self, matrix: np.ndarray, programming):
+        """The solver tree: ``stages`` levels of divide-and-conquer."""
+        return _build_node(
+            matrix, self.stages, programming, self.partition, self.input_fraction
+        )
+
     def prepare(self, matrix: np.ndarray, rng=None) -> PreparedMultiStage:
         """Preprocess and program the whole solver tree for ``matrix``."""
         matrix = check_square_matrix(matrix)
-        rng = as_generator(rng)
-        root = _build_node(
-            matrix, self.stages, Programming(self.config, rng), self.partition,
-            self.input_fraction,
-        )
+        root = self.build(matrix, Programming(self.config, as_generator(rng)))
         return PreparedMultiStage(matrix=matrix, root=root, stages=self.stages)
 
     def solve(self, matrix: np.ndarray, b: np.ndarray, rng=None) -> SolveResult:

@@ -4,79 +4,47 @@ One large INV circuit (Fig. 1b) holding the whole matrix in a single
 array pair — the design BlockAMC is compared against throughout the
 paper's evaluation. Subject to exactly the same non-idealities, but at
 full array size, which is what degrades its accuracy and inflates its
-periphery cost.
+periphery cost. Its solver tree is a single direct-INV node: the
+divide-and-conquer of :mod:`repro.core.multistage` applied zero times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.amc.interfaces import ADC, DAC
-from repro.amc.ops import AMCOperations
-from repro.core.common import (
-    DEFAULT_INPUT_FRACTION,
-    auto_range,
-    input_voltage_scale,
-    solve_columns,
-)
+from repro.core.blockamc import PreparedTree, Programming, _from_root
+from repro.core.common import DEFAULT_INPUT_FRACTION
+from repro.core.multistage import _DirectInvNode
 from repro.core.solution import SolveResult
-from repro.crossbar.array import CrossbarArray
-from repro.crossbar.mapping import normalize_matrix
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_square_matrix, check_vector
+from repro.utils.validation import check_square_matrix
 
 
-@dataclass(frozen=True)
-class PreparedOriginalAMC:
-    """A programmed monolithic INV solver bound to one matrix."""
+class PreparedOriginalAMC(PreparedTree):
+    """A programmed monolithic INV solver bound to one matrix (a direct-INV root)."""
 
-    matrix: np.ndarray
-    scale: float
-    array: CrossbarArray
-    ops: AMCOperations
-    input_fraction: float
+    solver = "original-amc"
+    scale = _from_root("scale", "Normalization scale of the matrix.")
+    array = _from_root("array", "The programmed full-size array pair.")
+    ops = _from_root("ops", "The op-amp column's :class:`~repro.amc.ops.AMCOperations`.")
+    input_fraction = _from_root("fraction", "DAC full-scale fraction of the largest input.")
 
-    def solve(self, b: np.ndarray, rng=None) -> SolveResult:
-        """Solve ``A x = b`` on the programmed array."""
+    def _metadata(self, bs, tally):
         n = self.matrix.shape[0]
-        b = check_vector(b, "b", size=n)
-        rng = as_generator(rng)
-
-        config = self.ops.config
-        dac = DAC(config.converters)
-        adc = ADC(config.converters)
-        v_fs = config.converters.v_fs
-
-        def run(k):
-            v_in = dac.convert(k * b)
-            op = self.ops.inv(self.array, v_in, label="INV(A)", rng=rng)
-            return float(np.max(np.abs(op.output))), op
-
-        k0 = input_voltage_scale(b, v_fs, self.input_fraction)
-        op, k = auto_range(run, k0, v_fs)
-        # The circuit returns -A_n^-1 v_in; undo sign and scaling digitally.
-        x = -adc.convert(op.output) / (k * self.scale)
-
-        reference = solve_columns(self.matrix, b, what="system matrix")
-        return SolveResult(
-            x=x,
-            reference=reference,
-            solver="original-amc",
-            operations=(op,),
-            metadata={
+        return [
+            {
                 "scale": self.scale,
-                "input_scale": k,
+                "input_scale": float(k),
                 "opa_count": n,
                 "dac_count": n,
                 "adc_count": n,
                 "device_count": self.array.device_count,
-                "dac_conversions": 1,
-                "adc_conversions": 1,
-            },
-        )
+                "dac_conversions": tally.dac_conversions,
+                "adc_conversions": tally.adc_conversions,
+            }
+            for k in tally.input_scale
+        ]
 
 
 class OriginalAMCSolver:
@@ -92,25 +60,15 @@ class OriginalAMCSolver:
         self.config = config or HardwareConfig.ideal()
         self.input_fraction = input_fraction
 
+    def build(self, matrix: np.ndarray, programming):
+        """The solver tree: one direct-INV node over the whole matrix."""
+        return _DirectInvNode(matrix, programming, self.input_fraction, label="INV(A)")
+
     def prepare(self, matrix: np.ndarray, rng=None) -> PreparedOriginalAMC:
         """Normalize and program the full matrix into one array pair."""
         matrix = check_square_matrix(matrix)
-        rng = as_generator(rng)
-        normalized, scale = normalize_matrix(matrix)
-        array = CrossbarArray.program(
-            normalized,
-            self.config.programming,
-            rng,
-            g_unit=self.config.g_unit,
-            pre_normalized=True,
-        )
-        return PreparedOriginalAMC(
-            matrix=matrix,
-            scale=scale,
-            array=array,
-            ops=AMCOperations(self.config),
-            input_fraction=self.input_fraction,
-        )
+        root = self.build(matrix, Programming(self.config, as_generator(rng)))
+        return PreparedOriginalAMC(matrix=matrix, root=root)
 
     def solve(self, matrix: np.ndarray, b: np.ndarray, rng=None) -> SolveResult:
         """Program the array and solve ``A x = b`` in one call."""

@@ -96,27 +96,6 @@ class LeanSolveResult:
     #: Lean results carry no per-operation telemetry by design.
     operations: tuple = ()
 
-    @classmethod
-    def from_result(cls, result: SolveResult) -> "LeanSolveResult":
-        """Reduce a full result (fallback for non-lean solve paths).
-
-        Only metadata keys the full result actually set are carried
-        over — no key ever appears with a ``None`` the full path would
-        never produce.
-        """
-        return cls(
-            x=result.x,
-            reference=result.reference,
-            solver=result.solver,
-            saturated=result.saturated,
-            analog_time_s=result.analog_time_s,
-            metadata={
-                key: result.metadata[key]
-                for key in ("input_scale",)
-                if key in result.metadata
-            },
-        )
-
     @property
     def size(self) -> int:
         """Dimension of the solved system."""

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.solution import LeanSolveResult, SolveResult
+from repro.core.solution import SolveResult
 from repro.errors import ServeError
 from repro.obs import tracer as obs
 from repro.serve.cache import PreparedEntry
@@ -42,13 +42,13 @@ def execute_batch(
 ) -> list[SolveResult]:
     """Execute one batch of right-hand sides against a prepared entry.
 
-    Coalescible entries run the batched five-step pipeline (one
-    factorization per INV step for the whole batch); the generator
-    argument is vestigial there — offsets were warmed at preparation —
-    so a fixed seed keeps the call deterministic by construction. Other
-    entries execute per request, each consuming its own
-    ``default_rng(seed)`` so results do not depend on batch composition
-    even when the configuration draws fresh noise per operation.
+    Coalescible entries run the batched solver tree once for the whole
+    batch (one factorization per INV array); the generator argument is
+    vestigial there — offsets were warmed at preparation — so a fixed
+    seed keeps the call deterministic by construction. Other entries
+    (per-operation noise) execute per request as a batch of one, each
+    consuming its own ``default_rng(seed)`` so results do not depend on
+    batch composition.
 
     ``lean=True`` returns :class:`~repro.core.solution.LeanSolveResult`
     payloads — identical ``x``/``reference``/``relative_error`` bits,
@@ -86,17 +86,13 @@ def execute_batch(
 
 
 def _execute(entry, bs, seeds, lean):
+    solve_many = entry.prepared.solve_many
     if entry.coalescible:
-        return list(
-            entry.prepared.solve_many(list(bs), np.random.default_rng(0), lean=lean)
-        )
-    results = [
-        entry.prepared.solve(b, np.random.default_rng(seed))
+        return list(solve_many(list(bs), np.random.default_rng(0), lean=lean))
+    return [
+        solve_many([b], np.random.default_rng(seed), lean=lean)[0]
         for b, seed in zip(bs, seeds)
     ]
-    if lean:
-        return [LeanSolveResult.from_result(result) for result in results]
-    return results
 
 
 class MicroBatcher:

@@ -85,11 +85,12 @@ class PreparedEntry:
     """A cached programmed solver plus its execution traits.
 
     ``coalescible`` marks entries whose queued requests may be merged
-    into one multi-RHS ``solve_many`` call (one- and two-stage BlockAMC
-    without per-operation noise — exactly the configurations whose
-    batched pipelines are bitwise invariant to batch composition, MNA
-    routing included). Other entries execute request by request, each
-    with its own generator, against the same cached programming.
+    into one multi-RHS ``solve_many`` call: every solver kind on
+    hardware without per-operation noise (MNA routing included) —
+    exactly the configurations whose batched solver trees are bitwise
+    invariant to batch composition. Noisy entries execute request by
+    request, each with its own generator, against the same cached
+    programming.
     """
 
     key: PreparedKey
@@ -97,19 +98,6 @@ class PreparedEntry:
     coalescible: bool
     size: int
     prepare_seconds: float
-
-
-#: Solver kinds with a batch-composition-invariant ``solve_many`` path
-#: (``PreparedBlockAMC`` and ``PreparedMultiStage`` respectively).
-_COALESCIBLE_SOLVERS = frozenset({"blockamc-1stage", "blockamc-2stage"})
-
-
-def _supports_coalescing(solver: str, config: HardwareConfig) -> bool:
-    # The config predicate is shared with the solvers' own solve_many
-    # fallbacks, so "coalescible" and "actually batches" cannot drift.
-    return solver in _COALESCIBLE_SOLVERS and not has_per_operation_randomness(
-        config
-    )
 
 
 def prepare_entry(
@@ -133,7 +121,9 @@ def prepare_entry(
     return PreparedEntry(
         key=key,
         prepared=prepared,
-        coalescible=_supports_coalescing(key.solver, hardware),
+        # The predicate the solvers' own solve_many fallbacks use, so
+        # "coalescible" and "actually batches" cannot drift.
+        coalescible=not has_per_operation_randomness(hardware),
         size=matrix.shape[0],
         prepare_seconds=time.perf_counter() - start,
     )

@@ -1,22 +1,22 @@
-"""One-vector-at-a-time reference solves for the prepared BlockAMC solvers.
+"""One-vector-at-a-time reference solves for the prepared AMC solvers.
 
 Production runs every prepared solve through the cached multi-RHS
-engines (:class:`~repro.core.blockamc.BatchedFiveStep` and the
-multi-stage node tree's ``solve_many`` methods); a single right-hand
-side is simply a batch of one. This module keeps the scalar reference
-those engines must reproduce bit for bit: it walks the same programmed
-arrays through the public one-operation primitives —
-:meth:`~repro.amc.ops.AMCOperations.inv`/``mvm``, the DAC/ADC and S&H
-models and :func:`~repro.core.common.auto_range` — redoing the settling
-analysis and every factorization per operation, exactly as a naive
-circuit simulation would. :func:`solve_macro` is the one-macro
+engines (:class:`~repro.core.blockamc.BatchedFiveStep` and the solver
+tree's ``solve_many`` methods — original AMC is one direct-INV node);
+a single right-hand side is simply a batch of one. This module keeps
+the scalar reference those engines must reproduce bit for bit: it
+walks the same programmed arrays through the public one-operation
+primitives — :meth:`~repro.amc.ops.AMCOperations.inv`/``mvm``, the
+DAC/ADC and S&H models and :func:`~repro.core.common.auto_range` —
+redoing the settling analysis and every factorization per operation,
+exactly as a naive circuit simulation would. :func:`solve_macro` is the one-macro
 five-step walk (paper Fig. 4) the solvers build on.
 
 The oracle draws from the node's own :class:`~repro.amc.ops.AMCOperations`
 offset cache, like the engines do, so it must run on a *separately
 prepared* copy (same preparation seed) when the two are compared.
 
-Use :func:`oracle_solve` for either prepared type.
+Use :func:`oracle_solve` for any prepared type.
 """
 
 from __future__ import annotations
@@ -38,20 +38,47 @@ from repro.core.multistage import (
     _ResourceCount,
     _TiledMVM,
 )
+from repro.core.original import PreparedOriginalAMC
 from repro.core.solution import SolveResult
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_vector
 
-__all__ = ["MacroResult", "oracle_solve", "solve_macro", "solve_multistage", "solve_one_stage"]
+__all__ = [
+    "MacroResult",
+    "OracleSolver",
+    "oracle_solve",
+    "solve_macro",
+    "solve_multistage",
+    "solve_one_stage",
+    "solve_original",
+]
 
 
 def oracle_solve(prepared, b, rng=None) -> SolveResult:
-    """Scalar reference solve of ``A x = b`` on any prepared BlockAMC solver."""
+    """Scalar reference solve of ``A x = b`` on any prepared AMC solver."""
+    if isinstance(prepared, PreparedOriginalAMC):
+        return solve_original(prepared, b, rng)
     if isinstance(prepared, PreparedBlockAMC):
         return solve_one_stage(prepared, b, rng)
     if isinstance(prepared, PreparedMultiStage):
         return solve_multistage(prepared, b, rng)
     raise TypeError(f"no scalar oracle for {type(prepared).__name__}")
+
+
+class OracleSolver:
+    """A solver whose one-call ``solve`` walks the scalar oracle.
+
+    ``solve(matrix, b, rng)`` prepares ``solver`` as usual and then solves
+    through :func:`oracle_solve` instead of the cached engines — the
+    factory shape :func:`repro.analysis.accuracy.run_trials` takes.
+    """
+
+    def __init__(self, solver):
+        self.solver = solver
+
+    def solve(self, matrix, b, rng=None) -> SolveResult:
+        rng = as_generator(rng)
+        return oracle_solve(self.solver.prepare(matrix, rng), b, rng)
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +167,35 @@ def solve_macro(macro: BlockAMCMacro, f, g, rng=None) -> MacroResult:
 
 
 # ----------------------------------------------------------------------
+# original AMC: one full-size INV
+# ----------------------------------------------------------------------
+
+
+def solve_original(prepared: PreparedOriginalAMC, b, rng=None) -> SolveResult:
+    """Scalar reference for :meth:`PreparedOriginalAMC.solve`."""
+    n = prepared.matrix.shape[0]
+    b = check_vector(b, "b", size=n)
+    tally = _Tally()
+    x = _solve_direct(prepared.root, b, tally, as_generator(rng))
+    return SolveResult(
+        x=x,
+        reference=solve_columns(prepared.matrix, b, what="system matrix"),
+        solver="original-amc",
+        operations=tuple(tally.operations),
+        metadata={
+            "scale": prepared.scale,
+            "input_scale": tally.input_scale,
+            "opa_count": n,
+            "dac_count": n,
+            "adc_count": n,
+            "device_count": prepared.array.device_count,
+            "dac_conversions": tally.dac_conversions,
+            "adc_conversions": tally.adc_conversions,
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # one stage
 # ----------------------------------------------------------------------
 
@@ -192,6 +248,7 @@ class _Tally:
     operations: list = field(default_factory=list)
     dac_conversions: int = 0
     adc_conversions: int = 0
+    input_scale: float | None = None  # the last direct-INV node's
 
 
 def solve_multistage(prepared: PreparedMultiStage, b, rng=None) -> SolveResult:
@@ -248,18 +305,19 @@ def _solve_macro(node: _MacroNode, rhs, tally: _Tally, rng) -> np.ndarray:
 
 
 def _solve_direct(node: _DirectInvNode, rhs, tally: _Tally, rng) -> np.ndarray:
-    """A 1x1 terminal: one INV operation."""
+    """One INV operation over the node's whole block (a 1x1 leaf, or original AMC)."""
     dac = DAC(node.config.converters)
     adc = ADC(node.config.converters)
     v_fs = node.config.converters.v_fs
 
     def run(k):
-        op = node.ops.inv(node.array, dac.convert(k * rhs), label="direct-inv", rng=rng)
+        op = node.ops.inv(node.array, dac.convert(k * rhs), label=node.label, rng=rng)
         return float(np.max(np.abs(op.output))), op
 
     k0 = input_voltage_scale(rhs, v_fs, node.fraction)
     op, k = auto_range(run, k0, v_fs)
     tally.operations.append(op)
+    tally.input_scale = k
     tally.dac_conversions += 1
     tally.adc_conversions += 1
     return -adc.convert(op.output) / (k * node.scale)

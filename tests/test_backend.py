@@ -33,7 +33,7 @@ from repro.core.backend import (
     lapack_solvers,
     register_backend,
 )
-from repro.core.common import FactoredSystem, inv_solve, solve_columns
+from repro.core.common import FactoredSystem, solve_columns
 from repro.errors import BackendError, SolverError
 from repro.workloads.matrices import random_vector, wishart_matrix
 
@@ -264,7 +264,7 @@ class TestFactoredSystemTiers:
         with pytest.raises(SolverError, match="singular"):
             FactoredSystem(singular)
         with pytest.raises(SolverError, match="singular"):
-            inv_solve(singular, np.ones(3, dtype=np.float32))
+            solve_columns(singular, np.ones(3, dtype=np.float32))
 
 
 # ----------------------------------------------------------------------

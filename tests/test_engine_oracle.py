@@ -3,14 +3,15 @@
 Every prepared solve — ``solve(b)`` is ``solve_many([b])[0]`` — runs on
 the cached multi-RHS engines: :class:`~repro.core.blockamc.BatchedFiveStep`
 for one-stage macros and macro nodes, and the multi-stage tree's tile
-and direct-INV nodes. :mod:`oracles.scalar` keeps the one-vector walk
-of the same programmed arrays through the public one-operation
-primitives. This suite holds the engines to that oracle with
-``np.array_equal`` / ``==`` (never a tolerance) on the configurations
-the engines once could not batch — per-operation output and
-sample-and-hold noise, and MNA routing — for one-stage, two-stage, and
-direct-INV terminal trees, at the float64 and float32 tiers, through
-gain-ranging reruns and the first (offset-drawing) solve.
+and direct-INV nodes (original AMC is one direct-INV node over the
+whole matrix). :mod:`oracles.scalar` keeps the one-vector walk of the
+same programmed arrays through the public one-operation primitives.
+This suite holds the engines to that oracle with ``np.array_equal`` /
+``==`` (never a tolerance) on the configurations the engines once could
+not batch — per-operation output and sample-and-hold noise, and MNA
+routing — for original AMC, one-stage, two-stage, and direct-INV
+terminal trees, at the float64 and float32 tiers, through gain-ranging
+reruns and the first (offset-drawing) solve.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.amc.config import ConverterConfig, HardwareConfig
 from repro.core import common
 from repro.core.blockamc import BlockAMCSolver, has_per_operation_randomness
 from repro.core.multistage import MultiStageSolver
+from repro.core.original import OriginalAMCSolver
 from repro.serve.cache import PreparedKey, prepare_entry
 from repro.workloads.matrices import (
     diagonally_dominant_matrix,
@@ -60,11 +62,13 @@ CONFIGS = {
 }
 TIERS = ("numpy", "numpy-f32")
 
-#: (stages, matrix): one-stage, two-stage, and a three-stage tree whose
-#: 1x1 leaves are direct-INV terminals. Odd sizes split unevenly, so each
-#: op-amp column's two offset sizes are drawn at distinct stream
-#: positions, between the per-operation noise draws.
+#: (stages, matrix): original AMC (zero stages: one full-size INV),
+#: one-stage, two-stage, and a three-stage tree whose 1x1 leaves are
+#: direct-INV terminals. Odd sizes split unevenly, so each op-amp
+#: column's two offset sizes are drawn at distinct stream positions,
+#: between the per-operation noise draws.
 TREES = {
+    "original": (0, lambda: wishart_matrix(13, rng=2)),
     "1stage": (1, lambda: wishart_matrix(13, rng=3)),
     "2stage": (2, lambda: wishart_matrix(13, rng=4)),
     "direct_inv": (3, lambda: diagonally_dominant_matrix(5, np.random.default_rng(8))),
@@ -72,6 +76,8 @@ TREES = {
 
 
 def _solver(config: HardwareConfig, stages: int):
+    if stages == 0:
+        return OriginalAMCSolver(config)
     if stages == 1:
         return BlockAMCSolver(config)
     return MultiStageSolver(config, stages=stages)
@@ -155,7 +161,7 @@ def _graded(n: int, rng) -> np.ndarray:
 
 class TestRangingReruns:
     @pytest.mark.parametrize("config_name", ["noisy_interconnect", "noisy_mna"])
-    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("stages", [0, 1, 2])
     def test_reruns_redraw_noise_like_the_oracle(self, monkeypatch, config_name, stages):
         config = CONFIGS[config_name]
         matrix = _graded(13, rng=6)
@@ -203,15 +209,17 @@ class TestPerColumnGenerators:
 class TestWarmUp:
     """``serve.cache.prepare_entry``'s warm-up draws, pinned to the oracle."""
 
-    @pytest.mark.parametrize("solver", ["blockamc-1stage", "blockamc-2stage"])
+    @pytest.mark.parametrize(
+        "solver, stages",
+        [("original-amc", 0), ("blockamc-1stage", 1), ("blockamc-2stage", 2)],
+    )
     @pytest.mark.parametrize("config_name", ["noisy_interconnect", "noisy_mna"])
-    def test_prepare_entry_matches_oracle_warm_up(self, solver, config_name):
+    def test_prepare_entry_matches_oracle_warm_up(self, solver, stages, config_name):
         config = CONFIGS[config_name]
         matrix = wishart_matrix(13, rng=7)
         key = PreparedKey("digest", "config", solver, prep_seed=11)
         entry = prepare_entry(key, matrix, config)
 
-        stages = 1 if solver == "blockamc-1stage" else 2
         rng = np.random.default_rng(11)
         for_oracle = _solver(config, stages).prepare(matrix, rng)
         oracle_solve(for_oracle, np.ones(13), rng)

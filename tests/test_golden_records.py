@@ -17,7 +17,9 @@ trips CI. The records pinned include:
   warm-up draws of fresh cache entries, and gain-ranging reruns;
 - a two-stage Fig. 9-shaped sweep through ``run_trials_batched``
   (Wishart and Toeplitz on ``paper_interconnect``, plus a noisy slice),
-  which pins the two-stage trial records of the campaign engine.
+  which pins the two-stage trial records of the campaign engine;
+- one original-AMC serve run (noise-free, noisy and MNA slices), which
+  pins the monolithic INV solver's served answers and ranging scales.
 
 Intentional numerical changes regenerate the fixtures with::
 
@@ -236,6 +238,46 @@ def _serve_noisy_payload() -> dict[str, np.ndarray]:
     }
 
 
+def _serve_original_payload() -> dict[str, np.ndarray]:
+    """Original-AMC traffic: plain, noisy, and MNA-routed slices.
+
+    Sizes off the powers of two keep the full-size INV arrays off the
+    shapes the other fixtures use; the noisy slice pins the per-request
+    noise streams and warm-up draws, the MNA slice the netlist route.
+    """
+    solvers = ("original-amc",)
+    # Two families per slice, so each slice's working set spans its sizes.
+    families = ("wishart", "toeplitz")
+    plain = mixed_traffic(
+        16, unique_matrices=6, sizes=(13, 22, 31), families=families,
+        solvers=solvers, skew=0.0, seed=TRAFFIC_SEED + 4,
+    )
+    noisy = mixed_traffic(
+        8, unique_matrices=4, sizes=(13, 21), families=families,
+        solvers=solvers, skew=0.0, seed=TRAFFIC_SEED + 5,
+    )
+    mna = mixed_traffic(
+        8, unique_matrices=4, sizes=(13, 15), families=families,
+        solvers=solvers, skew=0.0, seed=TRAFFIC_SEED + 6,
+    )
+    variation = HardwareConfig.paper_variation()
+    requests = (
+        [dataclasses.replace(r, hardware=variation) for r in plain]
+        + [dataclasses.replace(r, hardware=_noisy_hardware()) for r in noisy]
+        + [dataclasses.replace(r, hardware=variation.with_(use_mna=True)) for r in mna]
+    )
+    results, _ = run_sequential(requests, ServiceConfig())
+    return {
+        "solver": np.array([r.solver for r in results]),
+        "lengths": np.array([r.x.size for r in results]),
+        "x": np.concatenate([r.x for r in results]),
+        "reference": np.concatenate([r.reference for r in results]),
+        "relative_error": np.array([r.relative_error for r in results]),
+        "input_scale": np.array([r.metadata["input_scale"] for r in results]),
+        "saturated": np.array([r.saturated for r in results]),
+    }
+
+
 def _twostage_trials_payload() -> dict[str, np.ndarray]:
     """Two-stage Monte-Carlo records: Fig. 9 families plus a noisy slice."""
     slices = (
@@ -315,5 +357,14 @@ class TestServeNoisyGolden:
         _check_or_regen(
             _serve_noisy_payload(),
             GOLDEN_DIR / "serve_noisy_traffic.npz",
+            regen_goldens,
+        )
+
+
+class TestServeOriginalGolden:
+    def test_original_traffic_matches_golden(self, regen_goldens):
+        _check_or_regen(
+            _serve_original_payload(),
+            GOLDEN_DIR / "serve_original_traffic.npz",
             regen_goldens,
         )

@@ -3,14 +3,13 @@
 ``repro.core.common`` is the single implementation of the analog solve
 physics; three call-path shapes consume it:
 
-- **scalar** — ``AMCOperations`` / ``PreparedOriginalAMC.solve`` (one
-  vector at a time), and the scalar oracle of the BlockAMC solvers
-  built on them (:mod:`oracles.scalar`, including the one-macro
-  five-step walk);
+- **scalar** — ``AMCOperations`` (one vector at a time), and the
+  scalar oracle of the prepared solvers built on it
+  (:mod:`oracles.scalar`, including the one-macro five-step walk);
 - **trial-batched** — ``repro.core.batched`` (stacked ``(trials, n, n)``
   Monte-Carlo tensors run through the solver trees on stacked stages);
-- **multi-RHS** — ``PreparedBlockAMC.solve_many`` and
-  ``PreparedMultiStage.solve_many`` (one programmed macro or tree,
+- **multi-RHS** — ``solve_many`` of the three prepared solvers
+  (original AMC, one-stage and multi-stage: one programmed tree,
   row-stacked right-hand sides); a prepared ``solve`` is a batch of one.
 
 This suite *proves* the consolidation: for every configuration the
@@ -32,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro.core.batched as batched_module
 import repro.core.multistage as multistage_module
-from oracles.scalar import oracle_solve
+from oracles.scalar import OracleSolver, oracle_solve
 from repro.amc.config import (
     ConverterConfig,
     HardwareConfig,
@@ -68,7 +67,6 @@ from repro.core.common import (
     input_voltage_scale,
     input_voltage_scale_many,
     inv_raw,
-    inv_solve,
     mvm_raw,
     ranging_rescale,
     saturate,
@@ -225,30 +223,6 @@ class TestKernelShapeStability:
 
     @given(
         n=st.integers(1, 9),
-        trials=st.integers(1, 5),
-        seed=st.integers(0, 10_000),
-        a0=st.sampled_from([np.inf, 1e4, 500.0]),
-        with_offsets=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_inv_raw_trial_batch_matches_scalar(self, n, trials, seed, a0, with_offsets):
-        effective, loads, v_in, offsets, scales = _random_stage(
-            n, trials, seed, with_offsets
-        )
-        stacked = inv_raw(effective, loads, v_in, offsets, scales, a0)
-        for t in range(trials):
-            scalar = inv_raw(
-                effective[t],
-                loads[t],
-                v_in[t],
-                None if offsets is None else offsets[t],
-                float(scales[t]),
-                a0,
-            )
-            assert np.array_equal(stacked[t], scalar)
-
-    @given(
-        n=st.integers(1, 9),
         rows=st.integers(1, 6),
         seed=st.integers(0, 10_000),
         a0=st.sampled_from([np.inf, 1e4]),
@@ -299,8 +273,6 @@ class TestKernelShapeStability:
         # the stacked-slices entry point is the same calls per trial
         matrices = np.broadcast_to(matrix, (rows, n, n))
         assert np.array_equal(solve_slices(matrices, rhs), block)
-        assert np.array_equal(inv_solve(matrix, rhs), block)
-        assert np.array_equal(inv_solve(np.array(matrices), rhs), block)
 
     @given(n=st.integers(1, 9), rows=st.integers(1, 6), seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -317,8 +289,8 @@ class TestKernelShapeStability:
         singular[0, 0] = 1.0
         with pytest.raises(SolverError, match="singular"):
             FactoredSystem(singular)
-        with pytest.raises(SolverError, match="singular"):
-            inv_solve(singular, np.ones(3))
+        with pytest.raises(SolverError, match="effective block matrix is singular"):
+            solve_slices(singular[None], np.ones((1, 3)))
         with pytest.raises(SolverError, match="ideal block matrix is singular"):
             solve_columns(singular, np.ones(3), what="ideal block matrix")
 
@@ -351,16 +323,16 @@ class TestOffsetStreamExactness:
     )
     @settings(max_examples=25, deadline=None)
     def test_draw_offsets_batch_matches_sequential(self, sigma, trials, seed):
-        sizes = [4, 7, 4]  # duplicate size: drawn once, reused
         rngs = [np.random.default_rng(seed + t) for t in range(trials)]
-        batch = draw_offsets_batch(sigma, sizes, rngs)
+        # One size per call, in first-use order (as LazyOffsets draws them).
+        batch = {size: draw_offsets_batch(sigma, size, rngs) for size in (4, 7)}
         fresh = [np.random.default_rng(seed + t) for t in range(trials)]
         for t, rng in enumerate(fresh):
-            for size in (4, 7):  # first-use order, each size once
-                assert np.array_equal(batch[size][t], rng.normal(0.0, sigma, size=size))
+            for size in (4, 7):
+                assert np.array_equal(batch[size][t], draw_offsets(sigma, size, rng))
 
     def test_zero_sigma_is_none(self):
-        assert draw_offsets_batch(0.0, [3, 5], []) == {3: None, 5: None}
+        assert draw_offsets_batch(0.0, 3, []) is None
         assert draw_offsets(0.0, 4, rng=0) is None
 
     def test_scalar_draw_matches_generator_stream(self):
@@ -959,11 +931,12 @@ class TestInputScaling:
         many = input_voltage_scale_many(np.stack([b, b * 2.0]), 1.0)
         assert many[0] == scalar
 
-    def test_fraction_bounds_enforced(self):
+    @pytest.mark.parametrize("scale", [input_voltage_scale, input_voltage_scale_many])
+    def test_fraction_bounds_enforced(self, scale):
         with pytest.raises(ValidationError):
-            input_voltage_scale(np.ones(3), 1.0, fraction=0.0)
+            scale(np.ones(3), 1.0, fraction=0.0)
         with pytest.raises(ValidationError):
-            input_voltage_scale(np.ones(3), 1.0, fraction=1.0)
+            scale(np.ones(3), 1.0, fraction=1.0)
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -1172,26 +1145,25 @@ class TestMarginDriftGuard:
 
     These tests demonstrate the suite's detection power: reintroducing a
     private ranging margin in one path (simulated by patching only the
-    batched engine's view of ``auto_range_many`` — the solver-tree nodes
-    the trials engine runs original AMC on) makes the equivalence
-    assertions fail on a ranging-heavy workload.
+    solver-tree nodes' view of ``auto_range_many`` — what the prepared
+    and trial-batched original AMC run on) makes the equivalence
+    assertions fail on a ranging-heavy workload. The sequential side is
+    the scalar oracle, whose ranging loop is ``auto_range``.
     """
 
-    def _sweep(self, runner_config, solver_seq, solver_bat):
+    def _sweep(self, config):
         factory = MATRIX_FAMILIES["graded"]
         seq = run_trials(
-            {"orig": solver_seq}, factory, (10, 12), 3, seed=11
+            {"orig": lambda: OracleSolver(OriginalAMCSolver(config))},
+            factory, (10, 12), 3, seed=11,
         )
         bat = run_trials_batched(
-            {"orig": solver_bat}, factory, (10, 12), 3, seed=11
+            {"orig": OriginalAMCSolver(config)}, factory, (10, 12), 3, seed=11
         )
         return seq, bat
 
     def test_unskewed_paths_agree(self):
-        config = CONFIGS["variation"]
-        seq, bat = self._sweep(
-            config, lambda: OriginalAMCSolver(config), OriginalAMCSolver(config)
-        )
+        seq, bat = self._sweep(CONFIGS["variation"])
         _records_exactly_equal(seq, bat)
 
     def test_skewed_margin_in_one_path_is_detected(self, monkeypatch):
@@ -1232,10 +1204,7 @@ class TestMarginDriftGuard:
         monkeypatch.setattr(
             multistage_module, "auto_range_many", skewed_auto_range_many
         )
-        config = CONFIGS["variation"]
-        seq, bat = self._sweep(
-            config, lambda: OriginalAMCSolver(config), OriginalAMCSolver(config)
-        )
+        seq, bat = self._sweep(CONFIGS["variation"])
         diverged = any(
             s.relative_error != b.relative_error for s, b in zip(seq, bat)
         )

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amc.config import HardwareConfig
+from repro.core.blockamc import BlockAMCSolver
+from repro.core.multistage import MultiStageSolver
 from repro.core.original import OriginalAMCSolver
+from repro.errors import SolverError, ValidationError
 from repro.workloads.matrices import (
     diagonally_dominant_matrix,
     random_vector,
@@ -39,6 +42,7 @@ class TestTelemetry:
         )
         assert result.operation_counts == {"inv": 1}
         assert result.operations[0].rows == 6
+        assert result.operations[0].label == "INV(A)"
 
     def test_full_size_periphery(self):
         """The baseline needs n of every periphery component — the cost
@@ -81,3 +85,27 @@ class TestPrepared:
         r1 = prepared.solve(b, rng=19)
         r2 = prepared.solve(b, rng=19)
         np.testing.assert_array_equal(r1.x, r2.x)
+
+
+class TestSingularArrays:
+    """A singular programmed array fails at ``prepare``, where its INV
+    system is factored once, not at the first solve."""
+
+    def test_original_amc(self):
+        with pytest.raises(SolverError, match="singular"):
+            OriginalAMCSolver(HardwareConfig.ideal()).prepare(np.ones((4, 4)), rng=0)
+
+    def test_one_stage_schur_block(self):
+        # A1 = I is fine; the Schur complement [[1, 1], [1, 1]] is not.
+        matrix = np.eye(4)
+        matrix[2:, 2:] = 1.0
+        with pytest.raises(SolverError, match="singular"):
+            BlockAMCSolver(HardwareConfig.ideal()).prepare(matrix, rng=0)
+
+
+@pytest.mark.parametrize("solver_type", [OriginalAMCSolver, BlockAMCSolver, MultiStageSolver])
+def test_input_fraction_outside_unit_interval_rejected(solver_type):
+    matrix = wishart_matrix(8, rng=1)
+    solver = solver_type(HardwareConfig.ideal(), input_fraction=1.5)
+    with pytest.raises(ValidationError, match="fraction"):
+        solver.solve(matrix, np.ones(8), rng=0)

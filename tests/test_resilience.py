@@ -88,6 +88,9 @@ def slow_kind():
                 relative_error = 0.0
             return _R()
 
+        def solve_many(self, rhs_batch, rng=None, *, lean=False):
+            return tuple(self.solve(b, rng) for b in rhs_batch)
+
     class _SlowSolver:
         def __init__(self, config):
             pass
@@ -123,6 +126,9 @@ def flaky_kind():
                 x = np.zeros(self.n)
                 relative_error = 0.0
             return _R()
+
+        def solve_many(self, rhs_batch, rng=None, *, lean=False):
+            return tuple(self.solve(b, rng) for b in rhs_batch)
 
     class _FlakySolver:
         def __init__(self, config):

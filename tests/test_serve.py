@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.amc.config import HardwareConfig
+from repro.core.blockamc import BlockAMCSolver
+from repro.core.original import OriginalAMCSolver
 from repro.errors import (
     ServeError,
     ServiceClosedError,
@@ -317,6 +319,9 @@ class TestBackpressureAndLifecycle:
                     relative_error = 0.0
                 return _R()
 
+            def solve_many(self, rhs_batch, rng=None, *, lean=False):
+                return tuple(self.solve(b, rng) for b in rhs_batch)
+
         class _SlowSolver:
             def __init__(self, config):
                 pass
@@ -564,13 +569,13 @@ class TestMetricsRecorderConcurrency:
 class TestLeanResults:
     """Lean serving mode: same solution bits, no per-step telemetry."""
 
-    def test_lean_solve_many_matches_full(self):
-        from repro.core.blockamc import BlockAMCSolver
+    @pytest.mark.parametrize("solver_type", [BlockAMCSolver, OriginalAMCSolver])
+    def test_lean_solve_many_matches_full(self, solver_type):
         from repro.core.solution import LeanSolveResult
 
         matrix = wishart_matrix(14, rng=2)
         rhs = [random_vector(14, rng=i) for i in range(5)]
-        prep = BlockAMCSolver(HardwareConfig.paper_variation()).prepare(matrix, rng=5)
+        prep = solver_type(HardwareConfig.paper_variation()).prepare(matrix, rng=5)
         full = prep.solve_many(rhs, np.random.default_rng(0))
         lean = prep.solve_many(rhs, np.random.default_rng(0), lean=True)
         for f, l in zip(full, lean):
@@ -587,7 +592,9 @@ class TestLeanResults:
         from repro.core.solution import LeanSolveResult
 
         matrix = wishart_matrix(10, rng=1)
-        hardware = HardwareConfig.paper_variation()
+        base = HardwareConfig.paper_variation()
+        # Per-operation noise: the one configuration that runs per request.
+        hardware = base.with_(opamp=base.opamp.__class__(output_noise_sigma_v=1e-4))
         key = PreparedKey(matrix_digest(matrix), hardware.cache_key(), "original-amc", 0)
         entry = prepare_entry(key, matrix, hardware)
         assert not entry.coalescible
