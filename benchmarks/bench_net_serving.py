@@ -5,9 +5,9 @@ process-based workers and records the acceptance facts of the network
 tier in ``BENCH_net_serving.json``:
 
 1. **bit-identity over the wire** — every result served through frames,
-   shared-memory transport, and process workers equals the in-process
-   sequential reference bit for bit (the wire carries raw float64
-   bytes; nothing reformats them).
+   the workers' response queues, and process workers equals the
+   in-process sequential reference bit for bit (the wire carries raw
+   float64 bytes and the queues pickled arrays; nothing reformats them).
 2. **throughput: process tier vs thread tier** — the same workload
    through :class:`~repro.serve.SolverService` (threads, shared
    memory space) and through :class:`~repro.serve.net.NetServer`
@@ -143,7 +143,7 @@ def run_bench(quick: bool = False, out: Path | None = None) -> dict:
     thread_rps = n_requests / thread_s
 
     # ------------------------------------------------------------------
-    # process tier (TCP frames + shared-memory result transport)
+    # process tier (TCP frames + result rows on the response queues)
     # ------------------------------------------------------------------
     net_start = time.perf_counter()
     with NetServer(NetServerConfig(service=base)) as server:
@@ -304,7 +304,7 @@ def run_bench(quick: bool = False, out: Path | None = None) -> dict:
         },
         "detail": (
             "mixed traffic through NetServer/NetClient (TCP frames, process "
-            "workers, shared-memory result transport) vs run_sequential; "
+            "workers, result rows on the response queues) vs run_sequential; "
             "clean throughput against the in-process thread tier, then a "
             "seeded chaos storm (poisoned solves, worker SIGKILLs, slow "
             "calls) with bounded client retry via drive_network"

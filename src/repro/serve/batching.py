@@ -15,7 +15,7 @@ Two pieces live here:
   batch size (``tests/test_serve.py`` enforces the invariance).
 - :class:`MicroBatcher` — per-worker bookkeeping that groups queued
   items by prepared key and hands out batches of at most
-  ``max_batch_size``, oldest group first.
+  ``max_batch_size``, serving the groups round-robin.
 """
 
 from __future__ import annotations

@@ -24,13 +24,10 @@ from repro.serve.net.protocol import (
 )
 from repro.serve.net.quotas import QuotaPolicy, TenantQuotas, TokenBucket
 from repro.serve.net.server import NetServer, NetServerConfig
-from repro.serve.net.transport import AttachedBlock, BlockRef, publish_block
 from repro.serve.net.workers import ProcessWorkerPool, WorkOutcome
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "AttachedBlock",
-    "BlockRef",
     "NetClient",
     "NetServer",
     "NetServerConfig",
@@ -44,5 +41,4 @@ __all__ = [
     "array_to_bytes",
     "decode_frame",
     "encode_frame",
-    "publish_block",
 ]

@@ -13,11 +13,13 @@ of process count or scheduling.
 
 Plumbing per shard: an unbounded request queue in (small
 :class:`WorkItem` messages — the rhs vector, plus the matrix payload
-only the first time a digest is seen), a response queue out (tiny
-descriptors), and the actual ``(batch, n)`` solution blocks crossing via
-:mod:`repro.serve.net.transport` shared memory. A **pump thread** in the
-front-end process drains each shard's responses, copies result rows out
-of shared memory, and fires the completion callbacks.
+only the first time a digest is seen) and a response queue out, one
+message per request carrying that row's solution and reference arrays
+(pickled with their dtypes, so the bits cross unchanged). A **pump
+thread** in the front-end process drains each shard's responses and
+fires the completion callbacks. A worker lingers for stragglers only
+while its batcher holds nothing but the key it is about to serve, like
+a thread shard.
 
 Failure story:
 
@@ -80,7 +82,6 @@ from repro.serve.net.protocol import (
     STATUS_SHARD_FAILED,
     STATUS_UNKNOWN_DIGEST,
 )
-from repro.serve.net.transport import AttachedBlock, BlockRef, publish_block
 from repro.serve.requests import SolveRequest
 from repro.serve.resilience import (
     DEGRADABLE_ERRORS,
@@ -139,12 +140,14 @@ class WorkItem:
 
 @dataclass(frozen=True)
 class WorkDone:
-    """Successful response descriptor (worker → parent)."""
+    """Successful response (worker → parent) carrying the row's arrays."""
 
     id: int
     status: str
-    block: BlockRef
-    row: int
+    #: Solution at the worker's dtype (float32 on that tier).
+    x: np.ndarray
+    #: Digital reference (always float64).
+    reference: np.ndarray
     telemetry: dict
     #: Counter deltas since the worker's previous message.
     counters: dict
@@ -325,7 +328,6 @@ def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
 
 def _serve_key(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
     """Execute (or fail) the pending group for one prepared key."""
-    config = state.config
     breaker = _breaker_for(state, key)
     if breaker is not None and not breaker.allow():
         _fail_key_group(
@@ -342,11 +344,7 @@ def _serve_key(state: _WorkerState, key: PreparedKey, request_q, response_q) -> 
     entry = _entry_for(state, key, breaker, response_q)
     if entry is None:
         return
-    if (
-        entry.coalescible
-        and config.max_linger_s > 0.0
-        and state.batcher.pending_for(key) < config.max_batch_size
-    ):
+    if entry.coalescible and state.config.max_linger_s > 0.0:
         _linger(state, key, request_q, response_q)
     batch = _expire(state, state.batcher.take(key), response_q)
     if not batch:
@@ -459,11 +457,11 @@ def _entry_for(state: _WorkerState, key: PreparedKey, breaker, response_q):
 
 
 def _linger(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
+    """Hold a lone key's batch open for stragglers (work-conserving)."""
+    batcher = state.batcher
+    limit = min(state.config.max_batch_size, state.config.queue_depth)
     deadline = time.perf_counter() + state.config.max_linger_s
-    while (
-        state.batcher.pending_for(key) < state.config.max_batch_size
-        and len(state.batcher) < state.config.queue_depth
-    ):
+    while len(batcher) == batcher.pending_for(key) < limit:
         remaining = deadline - time.perf_counter()
         if remaining <= 0.0:
             return
@@ -580,52 +578,37 @@ def _degrade_or_fail(state, entry, job: _Job, exc, breaker, finished: list) -> N
 
 
 def _publish(state, finished: list, response_q, per_request_s: float) -> None:
-    """Ship one batch's outcomes: one shm block, one message per request."""
-    successes = [(job, result, status) for job, result, status in finished if status]
-    failures = [(job, result) for job, result, status in finished if status is None]
+    """Ship one batch's outcomes, one message per request.
+
+    Each row's arrays travel in its own message, so a float64 degraded
+    row next to float32 analog rows keeps every row's dtype.
+    """
     counters = state.drain_counters()
     counters["service_per_request_s"] = per_request_s
     cache = state.cache_snapshot()
-    # Group by solution dtype before stacking: a float32-tier batch may
-    # carry a float64 degraded-fallback row, and np.stack across the mix
-    # would silently upcast the analog rows. One group (one block) in
-    # the common case.
-    groups: dict[str, list] = {}
-    for job, result, status in successes:
-        groups.setdefault(np.asarray(result.x).dtype.name, []).append(
-            (job, result, status)
-        )
-    for group in groups.values():
-        block = publish_block(
-            np.stack([result.x for _, result, _ in group]),
-            np.stack([result.reference for _, result, _ in group]),
-        )
-        for row, (job, result, status) in enumerate(group):
+    for job, outcome, status in finished:
+        if status:
             job.span.end(status="ok" if status == STATUS_OK else "degraded")
-            response_q.put(
-                WorkDone(
-                    id=job.item.id,
-                    status=status,
-                    block=block,
-                    row=row,
-                    telemetry=_telemetry(result, len(finished)),
-                    counters=counters,
-                    cache=cache,
-                )
-            )
-            counters = {}
-    for job, exc in failures:
-        job.span.fail(exc)
-        response_q.put(
-            WorkFailed(
+            message = WorkDone(
                 id=job.item.id,
-                status=status_for_error(exc),
-                error=error_to_wire(exc),
+                status=status,
+                x=outcome.x,
+                reference=outcome.reference,
+                telemetry=_telemetry(outcome, len(finished)),
+                counters=counters,
+                cache=cache,
+            )
+        else:
+            job.span.fail(outcome)
+            message = WorkFailed(
+                id=job.item.id,
+                status=status_for_error(outcome),
+                error=error_to_wire(outcome),
                 digest=job.item.digest,
                 counters=counters,
                 cache=cache,
             )
-        )
+        response_q.put(message)
         counters = {}
 
 
@@ -697,8 +680,6 @@ class _ProcShard:
         self.inflight: dict[int, _Pending] = {}
         #: Digests the current worker incarnation holds matrices for.
         self.known_digests: set[str] = set()
-        #: Attached (partially consumed) shm blocks, by segment name.
-        self.blocks: dict[str, AttachedBlock] = {}
         self.service_ewma_s = 0.0
         self.restarts = 0
         self.closing = False
@@ -719,12 +700,13 @@ class _ProcShard:
 
 
 class ProcessWorkerPool:
-    """Digest-sharded pool of worker processes with shared-memory results.
+    """Digest-sharded pool of worker processes.
 
     The network server submits with a completion callback; the shard's
     pump thread invokes it with a :class:`WorkOutcome` once the worker
-    answers (or the shard dies). Thread-safe; one pump thread per shard
-    incarnation.
+    answers (or the shard dies). Results come back on each shard's
+    response queue, one message per request. Thread-safe; one pump
+    thread per shard incarnation.
     """
 
     def __init__(self, config: ServiceConfig, recorder: MetricsRecorder | None = None):
@@ -808,10 +790,6 @@ class ProcessWorkerPool:
                 ServiceClosedError("service closed while this request was in flight"),
             )
             self._retire_queues(shard.request_q, shard.response_q)
-            with shard.lock:
-                for block in shard.blocks.values():
-                    block.release()
-                shard.blocks.clear()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self
@@ -945,12 +923,11 @@ class ProcessWorkerPool:
         with shard.lock:
             pending = shard.inflight.pop(msg.id, None)
         if isinstance(msg, WorkDone):
-            x, reference = self._consume_row(shard, msg.block, msg.row)
             outcome = WorkOutcome(
                 id=msg.id,
                 status=msg.status,
-                x=x,
-                reference=reference,
+                x=msg.x,
+                reference=msg.reference,
                 telemetry=msg.telemetry,
             )
             if msg.status == STATUS_DEGRADED:
@@ -968,19 +945,6 @@ class ProcessWorkerPool:
             now - pending.submitted_at, failed=not outcome.ok
         )
         pending.callback(outcome)
-
-    def _consume_row(self, shard: _ProcShard, ref: BlockRef, row: int):
-        if ref.inline:
-            return AttachedBlock(ref).row(row)
-        with shard.lock:
-            block = shard.blocks.get(ref.name)
-            if block is None:
-                block = AttachedBlock(ref)
-                shard.blocks[ref.name] = block
-            x, reference = block.row(row)
-            if block.released:
-                shard.blocks.pop(ref.name, None)
-        return x, reference
 
     def _absorb_counters(self, shard: _ProcShard, counters: dict, cache: tuple) -> None:
         for _ in range(counters.get("retries", 0)):
@@ -1016,9 +980,6 @@ class ProcessWorkerPool:
                 return
             closing = shard.closing
             shard.restarting = True
-            for block in shard.blocks.values():
-                block.release()
-            shard.blocks.clear()
         self._retire_queues(shard.request_q, shard.response_q)
         if closing:
             self._fail_inflight(

@@ -9,7 +9,8 @@ them at engine speed:
   by two threads at once;
 - each worker coalesces queued requests that target the same prepared
   solver into one multi-RHS ``solve_many`` call (up to
-  ``max_batch_size``, lingering up to ``max_linger_s`` for stragglers);
+  ``max_batch_size``, lingering up to ``max_linger_s`` for stragglers
+  while no other key's request waits on the shard);
 - queues are bounded: the ``block`` backpressure policy stalls
   submitters when a shard is saturated, ``reject`` raises
   :class:`~repro.errors.ServiceOverloadedError` immediately.
@@ -141,8 +142,10 @@ class ServiceConfig:
         Most requests one coalesced ``solve_many`` call may carry.
     max_linger_s:
         How long a worker holds a formable batch open waiting for more
-        requests to the same prepared solver. ``0`` disables lingering
-        (batches still coalesce whatever is already queued).
+        requests to the same prepared solver. It lingers only while no
+        other key's request waits on its shard, and stops as soon as one
+        arrives. ``0`` disables lingering (batches still coalesce
+        whatever is already queued).
     queue_depth:
         Bound of each shard's request queue. The owning worker holds at
         most another ``queue_depth`` of drained-but-unexecuted requests,
@@ -613,32 +616,31 @@ class SolverService:
                             return
                     continue
             self._drain_queue(shard)
-            key = batcher.next_key()
-            breaker = self._breaker_for(shard, key)
-            if breaker is not None and not breaker.allow():
-                self._fail_key_group(
-                    shard,
-                    key,
-                    CircuitOpenError(
-                        f"circuit breaker open for prepared solver {key.solver!r} "
-                        f"on matrix {key.matrix_digest[:12]}",
-                        retry_after_s=breaker.retry_after_s(),
-                    ),
-                )
-                continue
-            entry = self._entry_for(shard, key, breaker)
-            if entry is None:
-                continue
-            if (
-                entry.coalescible
-                and self.config.max_linger_s > 0.0
-                and batcher.pending_for(key) < self.config.max_batch_size
-            ):
-                self._linger(shard, key)
-            batch = self._expire(batcher.take(key))
-            if batch:
-                shard.cache.credit_hits(len(batch) - 1)
-                self._execute(shard, entry, batch, breaker)
+            self._serve_key(shard, batcher.next_key())
+
+    def _serve_key(self, shard: _Shard, key: PreparedKey) -> None:
+        """Execute (or fail) the pending group for one prepared key."""
+        breaker = self._breaker_for(shard, key)
+        if breaker is not None and not breaker.allow():
+            self._fail_key_group(
+                shard,
+                key,
+                CircuitOpenError(
+                    f"circuit breaker open for prepared solver {key.solver!r} "
+                    f"on matrix {key.matrix_digest[:12]}",
+                    retry_after_s=breaker.retry_after_s(),
+                ),
+            )
+            return
+        entry = self._entry_for(shard, key, breaker)
+        if entry is None:
+            return
+        if entry.coalescible and self.config.max_linger_s > 0.0:
+            self._linger(shard, key)
+        batch = self._expire(shard.batcher.take(key))
+        if batch:
+            shard.cache.credit_hits(len(batch) - 1)
+            self._execute(shard, entry, batch, breaker)
 
     def _drain_queue(self, shard: _Shard) -> None:
         # The batcher backlog is bounded like the queue: once the worker
@@ -653,17 +655,20 @@ class SolverService:
                 return
 
     def _linger(self, shard: _Shard, key: PreparedKey) -> None:
-        """Hold the batch open briefly, hoping to coalesce stragglers."""
+        """Hold a lone key's batch open briefly, hoping to coalesce stragglers.
+
+        Work-conserving: the wait lasts only while the batcher holds
+        nothing but ``key``, so a request for another key ends it.
+        """
+        batcher = shard.batcher
+        limit = min(self.config.max_batch_size, self.config.queue_depth)
         deadline = time.perf_counter() + self.config.max_linger_s
-        while (
-            shard.batcher.pending_for(key) < self.config.max_batch_size
-            and len(shard.batcher) < self.config.queue_depth
-        ):
+        while len(batcher) == batcher.pending_for(key) < limit:
             remaining = deadline - time.perf_counter()
             if remaining <= 0.0 or self._abort.is_set():
                 return
             try:
-                shard.batcher.add(shard.queue.get(timeout=remaining))
+                batcher.add(shard.queue.get(timeout=remaining))
             except queue.Empty:
                 return
 

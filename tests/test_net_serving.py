@@ -37,15 +37,12 @@ from repro.errors import (
 )
 from repro.serve import ResiliencePolicy, ServiceConfig, run_sequential
 from repro.serve.net import (
-    AttachedBlock,
-    BlockRef,
     NetClient,
     NetServer,
     NetServerConfig,
     QuotaPolicy,
     TenantQuotas,
     TokenBucket,
-    publish_block,
 )
 from repro.serve.net.protocol import (
     MAX_FRAME_BYTES,
@@ -207,68 +204,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport
-# ----------------------------------------------------------------------
-
-
-class TestSharedMemoryTransport:
-    def test_publish_attach_round_trip_bit_exact(self):
-        rng = np.random.default_rng(1)
-        xs = rng.standard_normal((3, 5))
-        refs = rng.standard_normal((3, 5))
-        ref = publish_block(xs, refs)
-        block = AttachedBlock(ref)
-        for i in range(3):
-            x, reference = block.row(i)
-            assert np.array_equal(x, xs[i])
-            assert np.array_equal(reference, refs[i])
-        # consuming the last row released the segment
-        assert block.released
-        if not ref.inline:
-            from multiprocessing import shared_memory
-
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=ref.name)
-
-    def test_single_row_block(self):
-        x = np.arange(4.0)
-        ref = publish_block(x, x + 1)
-        block = AttachedBlock(ref)
-        got_x, got_ref = block.row(0)
-        assert np.array_equal(got_x, x) and np.array_equal(got_ref, x + 1)
-        assert block.released
-
-    def test_release_is_idempotent_and_guards_rows(self):
-        ref = publish_block(np.ones((2, 3)), np.zeros((2, 3)))
-        block = AttachedBlock(ref)
-        block.release()
-        block.release()
-        assert block.released
-        with pytest.raises(ServeError, match="released"):
-            block.row(0)
-
-    def test_row_bounds_checked(self):
-        block = AttachedBlock(publish_block(np.ones((2, 3)), np.ones((2, 3))))
-        with pytest.raises(ServeError, match="out of range"):
-            block.row(2)
-        block.release()
-
-    def test_inline_fallback_preserves_bits(self):
-        rng = np.random.default_rng(2)
-        stacked = np.stack([rng.standard_normal((2, 4)) for _ in range(2)])
-        ref = BlockRef(name=None, batch=2, n=4, payload=stacked.tobytes())
-        assert ref.inline
-        block = AttachedBlock(ref)
-        x, reference = block.row(1)
-        assert np.array_equal(x, stacked[0, 1])
-        assert np.array_equal(reference, stacked[1, 1])
-
-    def test_mismatched_blocks_rejected(self):
-        with pytest.raises(ServeError, match="disagree"):
-            publish_block(np.ones((2, 3)), np.ones((3, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +436,7 @@ class TestNetChaos:
 
 
 # ----------------------------------------------------------------------
-# precision tiers on the wire and in shared memory
+# worker state, driven in-process
 # ----------------------------------------------------------------------
 
 
@@ -512,15 +447,11 @@ class TestWorkerState:
     def _serve(state, item):
         import queue
 
-        from repro.serve.net.workers import WorkDone, _admit, _serve_key
+        from repro.serve.net.workers import _admit, _serve_key
 
         responses = queue.Queue()
         _admit(state, item, responses)
         _serve_key(state, state.batcher.next_key(), queue.Queue(), responses)
-        while not responses.empty():
-            message = responses.get()
-            if isinstance(message, WorkDone):
-                AttachedBlock(message.block).release()
 
     def test_breaker_map_stays_bounded_by_the_cache(self):
         """3 x capacity distinct keys through one worker: closed breakers
@@ -570,6 +501,11 @@ class TestWorkerState:
         assert responses.empty()  # nothing was refused
 
 
+# ----------------------------------------------------------------------
+# precision tiers on the response queue and the wire
+# ----------------------------------------------------------------------
+
+
 class TestWireDtypes:
     """Regression: the codec carried raw bytes but decoded every blob as
     float64 — a float32 solution either crashed reshape (half the bytes)
@@ -611,75 +547,194 @@ class TestWireDtypes:
         assert decoded.dtype == np.float64 and np.array_equal(decoded, ints)
 
 
-class TestSharedMemoryDtypes:
-    """Regression: the transport hardwired ``dtype=float`` on both ends;
-    float32 blocks were silently upcast on publish, and a publisher /
-    consumer dtype disagreement reinterpreted raw bytes undetected."""
+class TestProcessTierRowDtypes:
+    """Each result row crosses the response queue pickled at its own dtype."""
 
-    def test_f32_block_round_trips_at_f32(self):
-        rng = np.random.default_rng(3)
-        xs = rng.standard_normal((2, 5)).astype(np.float32)
-        refs = rng.standard_normal((2, 5)).astype(np.float32)
-        ref = publish_block(xs, refs)
-        assert ref.dtype_x == "float32" and ref.dtype_ref == "float32"
-        block = AttachedBlock(ref)
-        for i in range(2):
-            x, reference = block.row(i)
-            assert x.dtype == np.float32 and reference.dtype == np.float32
-            assert np.array_equal(x, xs[i])
-            assert np.array_equal(reference, refs[i])
+    @staticmethod
+    def _serve_in_process(config, requests):
+        """One worker step over ``requests`` (a single key), in-process.
 
-    def test_mixed_dtype_regions_do_not_promote(self):
-        # the service's real shape: float32-tier solutions next to the
-        # always-float64 digital references
-        rng = np.random.default_rng(4)
-        xs = rng.standard_normal((3, 4)).astype(np.float32)
-        refs = rng.standard_normal((3, 4))
-        ref = publish_block(xs, refs)
-        assert ref.dtype_x == "float32" and ref.dtype_ref == "float64"
-        block = AttachedBlock(ref)
-        x, reference = block.row(1)
-        assert x.dtype == np.float32 and np.array_equal(x, xs[1])
-        assert reference.dtype == np.float64 and np.array_equal(reference, refs[1])
-        block.release()
+        Returns id → response message, each pickled and unpickled the
+        way a process queue carries it.
+        """
+        import queue
+        from multiprocessing.reduction import ForkingPickler
 
-    def test_dtype_disagreement_detected_not_reinterpreted(self):
-        from dataclasses import replace
+        from repro.serve.net.workers import WorkItem, _admit, _serve_key, _WorkerState
 
-        ref = publish_block(np.ones((3, 5)), np.zeros((3, 5)))
-        # a consumer that believes the regions are wider than published
-        lying = replace(ref, n=8)
-        with pytest.raises(ServeError, match="bytes"):
-            AttachedBlock(lying)
-        # the refusal closed its mapping without unlinking: the honest
-        # descriptor still attaches, then releases the segment
-        AttachedBlock(ref).release()
+        state = _WorkerState(config)
+        responses = queue.Queue()
+        for i, request in enumerate(requests):
+            item = WorkItem(
+                i,
+                request.digest,
+                request.b,
+                matrix=request.matrix,
+                solver=request.solver,
+                prep_seed=request.prep_seed,
+                seed=request.seed,
+            )
+            _admit(state, item, responses)
+        _serve_key(state, state.batcher.next_key(), queue.Queue(), responses)
+        assert not len(state.batcher)
+        messages = {}
+        while not responses.empty():
+            message = ForkingPickler.loads(ForkingPickler.dumps(responses.get()))
+            assert message.id not in messages
+            messages[message.id] = message
+        return messages
 
-    def test_inline_payload_size_checked_exactly(self):
-        from dataclasses import replace
+    @staticmethod
+    def _poison_one(requests, monkeypatch) -> int:
+        """Set a chaos plan that fails exactly one request; its index."""
+        from repro.testing.chaos import rhs_tag
 
-        ref = publish_block(np.ones((2, 3), dtype=np.float32), np.ones((2, 3)))
-        if not ref.inline:
-            block = AttachedBlock(ref)
-            block.release()
-        bad = BlockRef(
-            name=None, batch=2, n=3, payload=b"\x00" * 10,
-            dtype_x="float32", dtype_ref="float64",
+        # A failure rate between the two smallest decision values
+        # poisons exactly one request.
+        fractions = [
+            ChaosPlan(seed=11).fraction("fail", rhs_tag(r.b)) for r in requests
+        ]
+        lowest, second = sorted(fractions)[:2]
+        plan = ChaosPlan(seed=11, solve_failure_rate=(lowest + second) / 2)
+        monkeypatch.setenv(CHAOS_ENV, plan.chaos_env()[CHAOS_ENV])
+        return fractions.index(lowest)
+
+    def _assert_rows_match(self, messages, reference, batch, x_dtype):
+        from repro.serve.net.protocol import STATUS_OK
+        from repro.serve.net.workers import WorkDone
+
+        assert sorted(messages) == list(range(len(reference)))
+        for i, ref in enumerate(reference):
+            message = messages[i]
+            assert isinstance(message, WorkDone) and message.status == STATUS_OK
+            assert message.telemetry["batch"] == batch
+            assert message.x.dtype == x_dtype
+            assert message.reference.dtype == np.float64
+            assert np.array_equal(message.x, ref.x)
+            assert np.array_equal(message.reference, ref.reference)
+
+    def test_rows_round_trip_bit_exact(self):
+        """One message per request; each carries run_sequential's bits."""
+        requests = _requests(n=3, unique=1, sizes=(12,), seed=1)
+        config = ServiceConfig(max_batch_size=len(requests), max_linger_s=0.0)
+        reference, _ = run_sequential(requests, config)
+        messages = self._serve_in_process(config, requests)
+        self._assert_rows_match(messages, reference, len(requests), np.float64)
+
+    def test_single_row_batch(self):
+        requests = _requests(n=1, unique=1, sizes=(12,), seed=2)
+        config = ServiceConfig(max_linger_s=0.0)
+        reference, _ = run_sequential(requests, config)
+        messages = self._serve_in_process(config, requests)
+        self._assert_rows_match(messages, reference, 1, np.float64)
+
+    def test_f32_rows_round_trip_at_f32(self):
+        """Float32-tier solutions are not upcast next to float64 references."""
+        requests = _requests(n=2, unique=1, sizes=(12,), seed=3)
+        config = ServiceConfig(
+            max_batch_size=len(requests), max_linger_s=0.0, backend="numpy-f32"
         )
-        with pytest.raises(ServeError, match="expected"):
-            AttachedBlock(bad)
+        reference, _ = run_sequential(requests, config)
+        messages = self._serve_in_process(config, requests)
+        self._assert_rows_match(messages, reference, len(requests), np.float32)
 
-    def test_unknown_region_dtype_is_typed(self):
-        bad = BlockRef(name=None, batch=1, n=2, payload=b"\x00" * 16, dtype_x="float16")
-        with pytest.raises(ServeError, match="unknown block dtype"):
-            AttachedBlock(bad)
+    def test_each_message_carries_only_its_row(self):
+        """A row's message pickles that row's two arrays, not the batch's."""
+        from dataclasses import replace
+        from multiprocessing.reduction import ForkingPickler
 
-    def test_old_descriptor_defaults_to_float64(self):
-        stacked = np.stack([np.ones((2, 4)), np.zeros((2, 4))])
-        ref = BlockRef(name=None, batch=2, n=4, payload=stacked.tobytes())
-        assert ref.dtype_x == "float64" and ref.dtype_ref == "float64"
-        x, reference = AttachedBlock(ref).row(0)
-        assert np.array_equal(x, np.ones(4)) and np.array_equal(reference, np.zeros(4))
+        n = 64
+        requests = _requests(n=4, unique=1, sizes=(n,), seed=4)
+        config = ServiceConfig(max_batch_size=len(requests), max_linger_s=0.0)
+        messages = self._serve_in_process(config, requests)
+        assert len(messages) == len(requests)
+        for message in messages.values():
+            assert message.x.shape == message.reference.shape == (n,)
+            emptied = replace(message, x=message.x[:0], reference=message.reference[:0])
+            arrays = len(ForkingPickler.dumps(message)) - len(
+                ForkingPickler.dumps(emptied)
+            )
+            assert arrays <= message.x.nbytes + message.reference.nbytes + 64
+
+    def test_failed_row_leaves_its_neighbours_intact(self, monkeypatch):
+        """Without a fallback the poisoned request fails typed on its own
+        message; the rest of the batch keeps its dtypes and bits."""
+        from repro.serve.net.workers import WorkFailed
+
+        requests = _requests(n=4, unique=1, sizes=(12,), seed=5)
+        config = ServiceConfig(
+            max_batch_size=len(requests), max_linger_s=0.0, backend="numpy-f32"
+        )
+        reference, _ = run_sequential(requests, config)
+        poisoned = self._poison_one(requests, monkeypatch)
+        messages = self._serve_in_process(config, requests)
+        failed = messages.pop(poisoned)
+        assert isinstance(failed, WorkFailed)
+        assert isinstance(error_from_wire(failed.error), SolverError)
+        del reference[poisoned]
+        assert sorted(messages) == [i for i in range(len(requests)) if i != poisoned]
+        messages = dict(enumerate(messages[i] for i in sorted(messages)))
+        self._assert_rows_match(messages, reference, len(requests), np.float32)
+
+    def test_f32_batch_with_degraded_row_keeps_row_dtypes_and_bits(
+        self, monkeypatch
+    ):
+        """A float32-tier batch in which chaos poisons one request: under
+        the digital fallback that row comes back float64, the analog rows
+        float32, and every row carries run_sequential's bits."""
+        import threading
+
+        from repro.serve.net.protocol import STATUS_DEGRADED, STATUS_OK
+        from repro.serve.net.workers import ProcessWorkerPool
+
+        requests = _requests(n=4, unique=1, sizes=(12,), seed=6)
+        config = ServiceConfig(
+            workers=1,
+            max_batch_size=len(requests),
+            max_linger_s=5.0,
+            backend="numpy-f32",
+            resilience=ResiliencePolicy(fallback="digital"),
+        )
+        reference, _ = run_sequential(requests, config)
+        poisoned = self._poison_one(requests, monkeypatch)
+
+        outcomes = {}
+        all_done = threading.Event()
+
+        def collect(outcome):
+            outcomes[outcome.id] = outcome
+            if len(outcomes) == len(requests):
+                all_done.set()
+
+        with ProcessWorkerPool(config) as pool:
+            for i, request in enumerate(requests):
+                pool.submit(
+                    request_id=i,
+                    digest=request.digest,
+                    b=request.b,
+                    matrix=request.matrix,
+                    solver=request.solver,
+                    prep_seed=request.prep_seed,
+                    seed=request.seed,
+                    deadline_at=None,
+                    callback=collect,
+                )
+            assert all_done.wait(120.0)
+
+        for i, ref in enumerate(reference):
+            outcome = outcomes[i]
+            # One lone key, lingered until the batch filled.
+            assert outcome.telemetry["batch"] == len(requests)
+            assert outcome.reference.dtype == np.float64
+            assert np.array_equal(outcome.reference, ref.reference)
+            if i == poisoned:
+                assert outcome.status == STATUS_DEGRADED
+                assert outcome.x.dtype == np.float64
+                assert np.array_equal(outcome.x, ref.reference)
+            else:
+                assert outcome.status == STATUS_OK
+                assert outcome.x.dtype == np.float32
+                assert np.array_equal(outcome.x, ref.x)
 
 
 class TestNetServingPrecisionTiers:
