@@ -17,9 +17,16 @@ refusal a typed wire error with its own status:
 3. **backpressure** (shard in-flight bound) → ``overloaded``
    (:class:`~repro.errors.ServiceOverloadedError`; the network tier
    always rejects — blocking the event loop is not an option);
-4. dispatch to the owning worker process; its completion callback runs
-   on a pump thread and hops back to the loop via
-   ``call_soon_threadsafe`` to enqueue the response frame.
+4. dispatch to the owning worker process. The request joins its shard's
+   outbox, and the outbox leaves as one request-queue message once the
+   loop has dispatched every frame already read; the worker answers
+   each executed batch as one response message. Completion callbacks
+   run on a pump thread and append their response frames to a ready
+   list; only a frame that finds the list empty wakes the loop
+   (``call_soon_threadsafe``), and that one wake-up moves every ready
+   frame to its connection's queue. The writer sends every frame queued
+   for its connection with one socket write. Each hop sends what is
+   ready and never waits for more.
 
 Deadlines arrive as ``deadline_ms`` (client-relative), are converted to
 an absolute wall-clock instant on receipt, and propagate into the worker
@@ -102,6 +109,10 @@ class NetServer:
         self.address: tuple[str, int] | None = None
         #: Monotonically increasing server-side request ids (loop thread only).
         self._next_id = 0
+        #: (connection queue, frame) pairs answered by pump threads and not
+        #: yet handed to the loop.
+        self._ready: list[tuple[asyncio.Queue, bytes]] = []
+        self._ready_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -218,12 +229,37 @@ class NetServer:
             writer.close()
 
     async def _drain_responses(self, out_q: asyncio.Queue, writer) -> None:
+        """Write every frame queued for the connection with one write."""
         while True:
-            frame = await out_q.get()
-            if frame is None:
+            frames = [await out_q.get()]
+            while not out_q.empty():
+                frames.append(out_q.get_nowait())
+            closing = None in frames
+            if closing:
+                frames = frames[: frames.index(None)]
+            if frames:
+                writer.write(b"".join(frames))
+                await writer.drain()
+            if closing:
                 return
-            writer.write(frame)
-            await writer.drain()
+
+    def _post(self, out_q: asyncio.Queue, frame: bytes) -> None:
+        """Queue a response frame from a pump thread; wake the loop once."""
+        with self._ready_lock:
+            self._ready.append((out_q, frame))
+            first = len(self._ready) == 1
+        if first:
+            try:
+                self._loop.call_soon_threadsafe(self._deliver_ready)
+            except RuntimeError:  # pragma: no cover - loop already closed
+                pass
+
+    def _deliver_ready(self) -> None:
+        """Move every ready frame to its connection's queue (loop thread)."""
+        with self._ready_lock:
+            ready, self._ready = self._ready, []
+        for out_q, frame in ready:
+            out_q.put_nowait(frame)
 
     # ------------------------------------------------------------------
     # request dispatch (event-loop thread)
@@ -263,7 +299,6 @@ class NetServer:
 
     def _dispatch_solve(self, header: dict, blobs, out_q: asyncio.Queue) -> None:
         request_id = header.get("id")
-        loop = self._loop
         span = obs.NOOP_SPAN
         try:
             digest, b, matrix = self._parse_solve(header, blobs)
@@ -308,11 +343,7 @@ class NetServer:
                         error=f"{outcome.status}: {message}" if message
                         else outcome.status,
                     )
-                frame = self._outcome_frame(request_id, outcome)
-                try:
-                    loop.call_soon_threadsafe(out_q.put_nowait, frame)
-                except RuntimeError:  # pragma: no cover - loop already closed
-                    pass
+                self._post(out_q, self._outcome_frame(request_id, outcome))
 
             self._pool.submit(
                 request_id=server_id,

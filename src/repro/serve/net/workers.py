@@ -11,24 +11,30 @@ and executes every batch through the same canonical kernel
 bit-identical to :func:`~repro.serve.service.run_sequential` regardless
 of process count or scheduling.
 
-Plumbing per shard: an unbounded request queue in (small
-:class:`WorkItem` messages — the rhs vector, plus the matrix payload
-only the first time a digest is seen) and a response queue out, one
-message per request carrying that row's solution and reference arrays
-(pickled with their dtypes, so the bits cross unchanged). A **pump
-thread** in the front-end process drains each shard's responses and
-fires the completion callbacks. A worker lingers for stragglers only
-while its batcher holds nothing but the key it is about to serve, like
-a thread shard.
+Plumbing per shard: an unbounded request queue in and a response queue
+out, each message carrying whatever was ready when it was sent. A
+request message is a list of :class:`WorkItem` (the rhs vector, plus the
+matrix payload only the first time a digest is seen): every request
+submitted to the shard in one event-loop iteration leaves as one
+message, which the worker admits in order. A response message is one
+:class:`WorkReplies` per executed batch, one :class:`WorkDone` or
+:class:`WorkFailed` row per request, each row's solution and reference
+pickled at their own dtypes (so the bits cross unchanged). Nothing waits
+for a message to fill: no timer, no size threshold. A **pump thread** in
+the front-end process drains each shard's responses and fires the
+completion callbacks. A worker lingers for stragglers only while its
+batcher holds nothing but the key it is about to serve, like a thread
+shard.
 
 Failure story:
 
 - the parent detects worker death (the pump notices ``is_alive()`` went
   false), fails every in-flight request of that shard with
   :class:`~repro.errors.ShardFailedError` (retryable), and restarts the
-  worker with **fresh queues** up to the policy's
+  worker with **fresh queues** and an empty outbox up to the policy's
   ``max_shard_restarts`` — fresh queues make "which requests died with
-  the worker" exact: everything in flight did, nothing else;
+  the worker" exact: everything in flight did (requests still waiting in
+  the outbox included), nothing else;
 - a restart empties the worker's matrix table, so digest-only traffic
   may answer :class:`~repro.errors.UnknownDigestError`; the parent
   forgets the digest and the network client transparently re-sends the
@@ -47,6 +53,7 @@ Failure story:
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import os
 import queue
@@ -92,7 +99,14 @@ from repro.serve.resilience import (
 from repro.serve.service import ServiceConfig, resolve_request
 from repro.testing.chaos import WorkerKillChaos, chaos_entry_transform, plan_from_env
 
-__all__ = ["ProcessWorkerPool", "WorkDone", "WorkFailed", "WorkItem", "WorkOutcome"]
+__all__ = [
+    "ProcessWorkerPool",
+    "WorkDone",
+    "WorkFailed",
+    "WorkItem",
+    "WorkOutcome",
+    "WorkReplies",
+]
 
 #: Idle-poll period of worker loops and pump threads.
 _POLL_S = 0.02
@@ -121,7 +135,7 @@ def status_for_error(exc: BaseException) -> str:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One request crossing the request queue (parent → worker)."""
+    """One request in a request-queue message (parent → worker)."""
 
     id: int
     digest: str
@@ -140,7 +154,7 @@ class WorkItem:
 
 @dataclass(frozen=True)
 class WorkDone:
-    """Successful response (worker → parent) carrying the row's arrays."""
+    """Successful response row carrying the row's own arrays."""
 
     id: int
     status: str
@@ -149,21 +163,27 @@ class WorkDone:
     #: Digital reference (always float64).
     reference: np.ndarray
     telemetry: dict
-    #: Counter deltas since the worker's previous message.
-    counters: dict
-    #: Cumulative (hits, misses, evictions, prepare_s) of the worker cache.
-    cache: tuple
 
 
 @dataclass(frozen=True)
 class WorkFailed:
-    """Failure response (worker → parent); the error is wire-encoded."""
+    """Failure response row; the error is wire-encoded."""
 
     id: int
     status: str
     error: dict
     digest: str
+
+
+@dataclass(frozen=True)
+class WorkReplies:
+    """One response-queue message (worker → parent): rows answered together."""
+
+    #: :class:`WorkDone`/:class:`WorkFailed` rows, in answer order.
+    rows: list
+    #: Counter deltas since the worker's previous message.
     counters: dict
+    #: Cumulative (hits, misses, evictions, prepare_s) of the worker cache.
     cache: tuple
 
 
@@ -256,12 +276,10 @@ def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
     while True:
         if not len(state.batcher):
             try:
-                item = request_q.get(timeout=_POLL_S)
+                message = request_q.get(timeout=_POLL_S)
             except queue.Empty:
                 continue
-            if item is None:
-                return
-            _admit(state, item, response_q)
+            _admit_message(state, message, response_q)
         _drain(state, request_q, response_q)
         key = state.batcher.next_key()
         if key is None:
@@ -272,12 +290,18 @@ def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
 def _drain(state: _WorkerState, request_q, response_q) -> None:
     while len(state.batcher) < state.config.queue_depth:
         try:
-            item = request_q.get_nowait()
+            message = request_q.get_nowait()
         except queue.Empty:
             return
-        if item is None:
-            # Keep draining until exit so close() never strands a put.
-            raise SystemExit(0)
+        _admit_message(state, message, response_q)
+
+
+def _admit_message(state: _WorkerState, message, response_q) -> None:
+    """Admit one request message's items in order; ``None`` stops the worker."""
+    if message is None:
+        # Keep draining until exit so close() never strands a put.
+        raise SystemExit(0)
+    for item in message:
         _admit(state, item, response_q)
 
 
@@ -286,15 +310,11 @@ def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
     if item.matrix is not None:
         state.matrices[item.digest] = item.matrix
     elif item.digest not in state.matrices:
-        _respond_failure(
-            state,
-            response_q,
-            item,
-            UnknownDigestError(
-                f"worker holds no matrix for digest {item.digest[:12]} "
-                "(restarted or evicted); re-send with the payload"
-            ),
+        error = UnknownDigestError(
+            f"worker holds no matrix for digest {item.digest[:12]} "
+            "(restarted or evicted); re-send with the payload"
         )
+        _reply(state, response_q, [_failed_row(item, error)])
         return
     # A payload or a reference both make the digest most recently used;
     # evict only after, so the digest being admitted always survives.
@@ -306,7 +326,7 @@ def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
             _RequestView(item.digest, item.solver, item.prep_seed), state.config
         )
     except Exception as exc:
-        _respond_failure(state, response_q, item, exc)
+        _reply(state, response_q, [_failed_row(item, exc)])
         return
     job = _Job(item, key, hardware)
     tracer = obs.active()
@@ -466,16 +486,14 @@ def _linger(state: _WorkerState, key: PreparedKey, request_q, response_q) -> Non
         if remaining <= 0.0:
             return
         try:
-            item = request_q.get(timeout=remaining)
+            message = request_q.get(timeout=remaining)
         except queue.Empty:
             return
-        if item is None:
-            raise SystemExit(0)
-        _admit(state, item, response_q)
+        _admit_message(state, message, response_q)
 
 
 def _expire(state: _WorkerState, batch: list[_Job], response_q) -> list[_Job]:
-    live = []
+    live, expired = [], []
     now = time.time()
     for job in batch:
         if job.item.deadline_at is not None and now >= job.item.deadline_at:
@@ -483,9 +501,10 @@ def _expire(state: _WorkerState, batch: list[_Job], response_q) -> list[_Job]:
                 "deadline expired before the request reached execution"
             )
             job.span.fail(error)
-            _respond_failure(state, response_q, job.item, error)
+            expired.append(_failed_row(job.item, error))
         else:
             live.append(job)
+    _reply(state, response_q, expired)
     return live
 
 
@@ -578,38 +597,28 @@ def _degrade_or_fail(state, entry, job: _Job, exc, breaker, finished: list) -> N
 
 
 def _publish(state, finished: list, response_q, per_request_s: float) -> None:
-    """Ship one batch's outcomes, one message per request.
+    """Ship one batch's outcomes as one message, one row per request.
 
-    Each row's arrays travel in its own message, so a float64 degraded
-    row next to float32 analog rows keeps every row's dtype.
+    Each row carries its own arrays, so a float64 degraded row next to
+    float32 analog rows keeps every row's dtype.
     """
-    counters = state.drain_counters()
-    counters["service_per_request_s"] = per_request_s
-    cache = state.cache_snapshot()
+    rows = []
     for job, outcome, status in finished:
         if status:
             job.span.end(status="ok" if status == STATUS_OK else "degraded")
-            message = WorkDone(
-                id=job.item.id,
-                status=status,
-                x=outcome.x,
-                reference=outcome.reference,
-                telemetry=_telemetry(outcome, len(finished)),
-                counters=counters,
-                cache=cache,
+            rows.append(
+                WorkDone(
+                    id=job.item.id,
+                    status=status,
+                    x=outcome.x,
+                    reference=outcome.reference,
+                    telemetry=_telemetry(outcome, len(finished)),
+                )
             )
         else:
             job.span.fail(outcome)
-            message = WorkFailed(
-                id=job.item.id,
-                status=status_for_error(outcome),
-                error=error_to_wire(outcome),
-                digest=job.item.digest,
-                counters=counters,
-                cache=cache,
-            )
-        response_q.put(message)
-        counters = {}
+            rows.append(_failed_row(job.item, outcome))
+    _reply(state, response_q, rows, service_per_request_s=per_request_s)
 
 
 def _telemetry(result, batch: int) -> dict:
@@ -627,27 +636,30 @@ def _telemetry(result, batch: int) -> dict:
     }
 
 
-def _respond_failure(state: _WorkerState, response_q, item: WorkItem, exc) -> None:
-    response_q.put(
-        WorkFailed(
-            id=item.id,
-            status=status_for_error(exc),
-            error=error_to_wire(exc),
-            digest=item.digest,
-            counters=state.drain_counters(),
-            cache=state.cache_snapshot(),
-        )
+def _failed_row(item: WorkItem, exc) -> WorkFailed:
+    return WorkFailed(
+        id=item.id,
+        status=status_for_error(exc),
+        error=error_to_wire(exc),
+        digest=item.digest,
     )
 
 
+def _reply(state: _WorkerState, response_q, rows: list, **counters) -> None:
+    """Put ``rows`` on the response queue as one message (none if empty)."""
+    if rows:
+        response_q.put(
+            WorkReplies(rows, state.drain_counters() | counters, state.cache_snapshot())
+        )
+
+
 def _fail_key_group(state: _WorkerState, key: PreparedKey, response_q, exc) -> None:
-    while True:
-        group = state.batcher.take(key)
-        if not group:
-            return
+    rows = []
+    while group := state.batcher.take(key):
         for job in group:
             job.span.fail(exc)
-            _respond_failure(state, response_q, job.item, exc)
+            rows.append(_failed_row(job.item, exc))
+    _reply(state, response_q, rows)
 
 
 # ----------------------------------------------------------------------
@@ -678,6 +690,9 @@ class _ProcShard:
         self.pump: threading.Thread | None = None
         #: id → _Pending of requests handed to the current incarnation.
         self.inflight: dict[int, _Pending] = {}
+        #: Submitted items not yet put on the request queue; they leave as
+        #: one message when the pool flushes the shard.
+        self.outbox: list[WorkItem] = []
         #: Digests the current worker incarnation holds matrices for.
         self.known_digests: set[str] = set()
         self.service_ewma_s = 0.0
@@ -704,9 +719,16 @@ class ProcessWorkerPool:
 
     The network server submits with a completion callback; the shard's
     pump thread invokes it with a :class:`WorkOutcome` once the worker
-    answers (or the shard dies). Results come back on each shard's
-    response queue, one message per request. Thread-safe; one pump
-    thread per shard incarnation.
+    answers (or the shard dies). A submit appends its :class:`WorkItem`
+    to the shard's outbox, and the first item in an empty outbox
+    schedules one flush that puts the whole outbox on the request queue
+    as one message. Submitted on a running event loop (the server's),
+    the flush runs once the loop has run the callbacks it had ready, so
+    everything submitted to a shard in one loop iteration leaves
+    together; submitted from a plain thread, it runs at once. Results
+    come back on each shard's response queue, one :class:`WorkReplies`
+    message per executed batch. Thread-safe; one pump thread per shard
+    incarnation.
     """
 
     def __init__(self, config: ServiceConfig, recorder: MetricsRecorder | None = None):
@@ -771,9 +793,9 @@ class ProcessWorkerPool:
         for shard in self._shards:
             with shard.lock:
                 shard.closing = True
-                request_q = shard.request_q
             try:
-                request_q.put(None)
+                self._flush(shard)
+                shard.request_q.put(None)
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
         for shard in self._shards:
@@ -860,7 +882,7 @@ class ProcessWorkerPool:
             shard.inflight[request_id] = _Pending(callback, time.perf_counter())
             if matrix is not None:
                 shard.known_digests.add(digest)
-            shard.request_q.put(
+            shard.outbox.append(
                 WorkItem(
                     id=request_id,
                     digest=digest,
@@ -873,7 +895,27 @@ class ProcessWorkerPool:
                     trace=trace,
                 )
             )
+            first = len(shard.outbox) == 1
+        if first:
+            self._schedule_flush(shard)
         self.recorder.record_submit()
+
+    def _schedule_flush(self, shard: _ProcShard) -> None:
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            self._flush(shard)
+        else:
+            # Runs after the callbacks the loop already holds, e.g. after
+            # the reader coroutine has dispatched every buffered frame.
+            loop.call_soon(self._flush, shard)
+
+    def _flush(self, shard: _ProcShard) -> None:
+        """Put the shard's outbox on its request queue as one message."""
+        with shard.lock:
+            items, shard.outbox = shard.outbox, []
+            if items:
+                shard.request_q.put(items)
 
     # ------------------------------------------------------------------
     # telemetry
@@ -917,34 +959,33 @@ class ProcessWorkerPool:
                 return
             self._handle_message(shard, msg)
 
-    def _handle_message(self, shard: _ProcShard, msg) -> None:
+    def _handle_message(self, shard: _ProcShard, msg: WorkReplies) -> None:
         now = time.perf_counter()
         self._absorb_counters(shard, msg.counters, msg.cache)
         with shard.lock:
-            pending = shard.inflight.pop(msg.id, None)
-        if isinstance(msg, WorkDone):
-            outcome = WorkOutcome(
-                id=msg.id,
-                status=msg.status,
-                x=msg.x,
-                reference=msg.reference,
-                telemetry=msg.telemetry,
-            )
-            if msg.status == STATUS_DEGRADED:
-                self.recorder.record_degraded()
-        else:
-            if msg.status == STATUS_UNKNOWN_DIGEST:
-                with shard.lock:
-                    shard.known_digests.discard(msg.digest)
-            if msg.status == STATUS_DEADLINE:
-                self.recorder.record_deadline_miss()
-            outcome = WorkOutcome(id=msg.id, status=msg.status, error=msg.error)
-        if pending is None:  # pragma: no cover - defensive (stale response)
-            return
-        self.recorder.record_done(
-            now - pending.submitted_at, failed=not outcome.ok
-        )
-        pending.callback(outcome)
+            pending = [shard.inflight.pop(row.id, None) for row in msg.rows]
+            for row in msg.rows:
+                if row.status == STATUS_UNKNOWN_DIGEST:
+                    shard.known_digests.discard(row.digest)
+        for row, entry in zip(msg.rows, pending):
+            if isinstance(row, WorkDone):
+                outcome = WorkOutcome(
+                    id=row.id,
+                    status=row.status,
+                    x=row.x,
+                    reference=row.reference,
+                    telemetry=row.telemetry,
+                )
+                if row.status == STATUS_DEGRADED:
+                    self.recorder.record_degraded()
+            else:
+                if row.status == STATUS_DEADLINE:
+                    self.recorder.record_deadline_miss()
+                outcome = WorkOutcome(id=row.id, status=row.status, error=row.error)
+            if entry is None:  # pragma: no cover - defensive (stale response)
+                continue
+            self.recorder.record_done(now - entry.submitted_at, failed=not outcome.ok)
+            entry.callback(outcome)
 
     def _absorb_counters(self, shard: _ProcShard, counters: dict, cache: tuple) -> None:
         for _ in range(counters.get("retries", 0)):
@@ -980,6 +1021,9 @@ class ProcessWorkerPool:
                 return
             closing = shard.closing
             shard.restarting = True
+            # Items still in the outbox are in flight: they fail with this
+            # incarnation below and never reach the next one.
+            shard.outbox = []
         self._retire_queues(shard.request_q, shard.response_q)
         if closing:
             self._fail_inflight(

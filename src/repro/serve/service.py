@@ -658,19 +658,21 @@ class SolverService:
         """Hold a lone key's batch open briefly, hoping to coalesce stragglers.
 
         Work-conserving: the wait lasts only while the batcher holds
-        nothing but ``key``, so a request for another key ends it.
+        nothing but ``key``, so a request for another key ends it. A
+        closed service accepts no stragglers, so :meth:`close` ends it
+        too (the wait runs in ``_POLL_S`` slices to notice).
         """
         batcher = shard.batcher
         limit = min(self.config.max_batch_size, self.config.queue_depth)
         deadline = time.perf_counter() + self.config.max_linger_s
         while len(batcher) == batcher.pending_for(key) < limit:
             remaining = deadline - time.perf_counter()
-            if remaining <= 0.0 or self._abort.is_set():
+            if remaining <= 0.0 or self._closed.is_set():
                 return
             try:
-                batcher.add(shard.queue.get(timeout=remaining))
+                batcher.add(shard.queue.get(timeout=min(remaining, _POLL_S)))
             except queue.Empty:
-                return
+                continue
 
     def _breaker_for(self, shard: _Shard, key: PreparedKey) -> CircuitBreaker | None:
         """The key's circuit breaker, created lazily (None when disabled)."""

@@ -17,6 +17,7 @@ The load-bearing guarantees, mirroring the acceptance criteria:
 from __future__ import annotations
 
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -502,6 +503,384 @@ class TestWorkerState:
 
 
 # ----------------------------------------------------------------------
+# each process-tier hop sends what is ready as one message
+# ----------------------------------------------------------------------
+
+
+class _Outcomes:
+    """Completion callback that records every outcome it is handed."""
+
+    def __init__(self, expected: int):
+        self.by_id: dict[int, list] = {}
+        self.expected = expected
+        self.done = threading.Event()
+        self._lock = threading.Lock()
+
+    def __call__(self, outcome) -> None:
+        with self._lock:
+            self.by_id.setdefault(outcome.id, []).append(outcome)
+            if len(self.by_id) >= self.expected:
+                self.done.set()
+
+    def only(self, request_id: int):
+        """The one outcome of ``request_id`` (it must have fired once)."""
+        (outcome,) = self.by_id[request_id]
+        return outcome
+
+
+def _record_puts(target) -> list:
+    """Record every message put on ``target`` (still delivering it)."""
+    puts = []
+    put = target.put
+
+    def record(message, *args, **kwargs):
+        puts.append(message)
+        put(message, *args, **kwargs)
+
+    target.put = record
+    return puts
+
+
+def _split_frames(stream: bytes) -> list[bytes]:
+    """Cut a byte stream at the wire's own length prefixes."""
+    import struct
+
+    frames, offset = [], 0
+    while offset < len(stream):
+        (length,) = struct.unpack(">I", stream[offset : offset + 4])
+        frames.append(stream[offset : offset + 4 + length])
+        offset += 4 + length
+    return frames
+
+
+class TestCoalescedHops:
+    """Requests, rows and frames that are ready together travel together:
+    one request message per shard flush, one response message per
+    executed batch, one loop wake-up per ready-list drain and one socket
+    write per writer drain, with the failure semantics unchanged.
+
+    Pool cases submit from a coroutine, as the server does: the flush
+    waits until the loop runs its next callbacks, so blocking the
+    coroutine holds requests in the outbox."""
+
+    @staticmethod
+    def _submit(pool, request_id, request, callback) -> None:
+        pool.submit(
+            request_id=request_id,
+            digest=request.digest,
+            b=request.b,
+            matrix=request.matrix,
+            solver=request.solver,
+            prep_seed=request.prep_seed,
+            seed=request.seed,
+            deadline_at=None,
+            callback=callback,
+        )
+
+    def _submit_in_one_iteration(self, pool, requests, outcomes) -> list:
+        """Submit every request in one loop iteration; the puts it made."""
+        import asyncio
+
+        puts = _record_puts(pool._shards[0].request_q)
+
+        async def submit_all():
+            for i, request in enumerate(requests):
+                self._submit(pool, i, request, outcomes)
+            assert puts == []  # nothing leaves before the loop runs the flush
+            await asyncio.sleep(0)
+
+        asyncio.run(submit_all())
+        return puts
+
+    def test_submits_reach_the_worker_as_one_message_in_order(self):
+        from repro.serve.net.workers import ProcessWorkerPool
+
+        requests = _requests(n=4, unique=1, sizes=(12,), seed=7)
+        config = ServiceConfig(workers=1, max_batch_size=8, max_linger_s=0.0)
+        reference, _ = run_sequential(requests, config)
+        outcomes = _Outcomes(len(requests))
+        with ProcessWorkerPool(config) as pool:
+            puts = self._submit_in_one_iteration(pool, requests, outcomes)
+            assert len(puts) == 1
+            assert [item.id for item in puts[0]] == list(range(len(requests)))
+            assert outcomes.done.wait(60.0)
+        for i, ref in enumerate(reference):
+            outcome = outcomes.only(i)
+            assert outcome.ok and np.array_equal(outcome.x, ref.x)
+
+    def test_each_executed_batch_answers_as_one_response_message(self):
+        from repro.serve.net.workers import ProcessWorkerPool
+
+        requests = _requests(n=4, unique=1, sizes=(12,), seed=8)
+        config = ServiceConfig(
+            workers=1, max_batch_size=len(requests), max_linger_s=0.0
+        )
+        reference, _ = run_sequential(requests, config)
+        outcomes = _Outcomes(len(requests))
+        with ProcessWorkerPool(config) as pool:
+            replies = []
+            handle = pool._handle_message
+
+            def record(shard, message):
+                replies.append([row.id for row in message.rows])
+                handle(shard, message)
+
+            pool._handle_message = record
+            self._submit_in_one_iteration(pool, requests, outcomes)
+            assert outcomes.done.wait(60.0)
+        assert replies == [list(range(len(requests)))]  # one batch, one message
+        for i, ref in enumerate(reference):
+            outcome = outcomes.only(i)
+            assert outcome.telemetry["batch"] == len(requests)
+            assert np.array_equal(outcome.x, ref.x)
+            assert np.array_equal(outcome.reference, ref.reference)
+
+    def test_outbox_requests_die_with_their_incarnation(self):
+        """A shard killed while requests sit in its outbox fails them typed;
+        the flush that follows delivers none of them to the restarted
+        worker, which then serves new traffic normally."""
+        import asyncio
+        import time
+
+        from repro.errors import ShardFailedError
+        from repro.serve.net.protocol import STATUS_SHARD_FAILED
+        from repro.serve.net.workers import ProcessWorkerPool
+
+        requests = _requests(n=4, unique=1, sizes=(12,), seed=9)
+        config = ServiceConfig(workers=1, max_linger_s=0.0)
+        reference, _ = run_sequential(requests, config)
+        doomed = len(requests) - 1
+        outcomes, probe = _Outcomes(doomed), _Outcomes(1)
+        with ProcessWorkerPool(config) as pool:
+            shard = pool._shards[0]
+
+            async def scenario():
+                for i, request in enumerate(requests[:doomed]):
+                    self._submit(pool, i, request, outcomes)
+                # Block the loop: the scheduled flush cannot run yet.
+                shard.process.kill()
+                assert outcomes.done.wait(30.0)  # failed by the pump
+                deadline = time.monotonic() + 30.0
+                while shard.generation < 2 or shard.restarting:
+                    assert time.monotonic() < deadline, "shard never restarted"
+                    time.sleep(0.01)
+                puts = _record_puts(shard.request_q)
+                await asyncio.sleep(0)  # the flush runs now
+                assert puts == []  # nothing reached the next incarnation
+                self._submit(pool, doomed, requests[doomed], probe)
+                await asyncio.sleep(0)
+                assert [[item.id for item in message] for message in puts] == [
+                    [doomed]
+                ]
+
+            asyncio.run(scenario())
+            assert probe.done.wait(60.0)
+        for i in range(doomed):
+            outcome = outcomes.only(i)
+            assert outcome.status == STATUS_SHARD_FAILED
+            assert isinstance(error_from_wire(outcome.error), ShardFailedError)
+        assert set(probe.by_id) == {doomed}
+        assert np.array_equal(probe.only(doomed).x, reference[doomed].x)
+
+    def test_close_flushes_before_its_sentinel_and_answers_every_ticket(self):
+        import asyncio
+
+        from repro.serve.net.protocol import STATUS_CLOSED, STATUS_OK
+        from repro.serve.net.workers import ProcessWorkerPool
+
+        requests = _requests(n=3, unique=1, sizes=(12,), seed=10)
+        config = ServiceConfig(workers=1, max_linger_s=0.0)
+        outcomes = _Outcomes(len(requests))
+        pool = ProcessWorkerPool(config)
+        puts = _record_puts(pool._shards[0].request_q)
+
+        async def submit_then_close():
+            for i, request in enumerate(requests):
+                self._submit(pool, i, request, outcomes)
+            pool.close()  # before the loop runs the scheduled flush
+
+        asyncio.run(submit_then_close())
+        assert [
+            None if message is None else [item.id for item in message]
+            for message in puts
+        ] == [[0, 1, 2], None]
+        assert outcomes.done.is_set()  # no ticket hung
+        for i in range(len(requests)):
+            assert outcomes.only(i).status in (STATUS_OK, STATUS_CLOSED)
+
+    def test_pipelined_frames_reach_the_worker_as_one_message(self):
+        """Frames read together are dispatched in one loop iteration, so
+        their requests leave for the worker as one message, in order, and
+        come back bit-identical."""
+        requests = _requests(n=3, unique=1, sizes=(12,), seed=11)
+        service = ServiceConfig(workers=1, max_batch_size=8)
+        reference, _ = run_sequential(requests, service)
+        frames = [
+            encode_frame(
+                {
+                    "type": "solve",
+                    "id": i,
+                    "n": request.size,
+                    "solver": request.solver,
+                    "prep_seed": request.prep_seed,
+                    "seed": request.seed,
+                },
+                [array_to_bytes(request.b), array_to_bytes(request.matrix)],
+            )
+            for i, request in enumerate(requests)
+        ]
+        with NetServer(NetServerConfig(service=service)) as server:
+            puts = _record_puts(server._pool._shards[0].request_q)
+            with socket.create_connection(server.address, timeout=60.0) as sock:
+                sock.sendall(b"".join(frames))
+                answers = {}
+                for _ in requests:
+                    header, blobs = recv_frame(sock)
+                    i = header["id"]
+                    answers[i] = array_from_bytes(
+                        blobs[0], (requests[i].size,), header["dtypes"][0]
+                    )
+            # Server-side ids count from 1 in arrival order.
+            assert [[item.id for item in message] for message in puts] == [[1, 2, 3]]
+        for i, ref in enumerate(reference):
+            assert np.array_equal(answers[i], ref.x)
+
+    def test_pump_answers_wake_the_loop_once_per_drain(self):
+        """Completions that find frames already waiting add to them
+        instead of waking the loop again; the one wake-up moves every
+        ready frame to its connection's queue in order."""
+        import asyncio
+
+        from repro.serve.net.protocol import STATUS_OK
+        from repro.serve.net.workers import WorkOutcome
+
+        class Loop:
+            def __init__(self):
+                self.wakeups = []
+
+            def call_soon_threadsafe(self, callback, *args):
+                self.wakeups.append((callback, args))
+
+        class Pool:
+            def __init__(self):
+                self.callbacks = []
+
+            def submit(self, *, request_id, callback, **fields):
+                self.callbacks.append((request_id, callback))
+
+        server = NetServer()
+        server._loop, server._pool = Loop(), Pool()
+        queues = [asyncio.Queue(), asyncio.Queue()]
+        b = np.arange(3.0)
+        for i in range(4):
+            header = {"type": "solve", "id": 100 + i, "n": 3, "digest": "d" * 16}
+            server._dispatch_solve(header, [array_to_bytes(b)], queues[i % 2])
+        assert all(q.empty() for q in queues)
+
+        def answer(callbacks):
+            for request_id, callback in callbacks:
+                callback(
+                    WorkOutcome(
+                        id=request_id, status=STATUS_OK, x=b, reference=b, telemetry={}
+                    )
+                )
+
+        pump = threading.Thread(target=answer, args=(server._pool.callbacks[:3],))
+        pump.start()
+        pump.join()
+        assert len(server._loop.wakeups) == 1
+        callback, args = server._loop.wakeups.pop()
+        callback(*args)
+        ids = [
+            [decode_frame(q.get_nowait()[4:])[0]["id"] for _ in range(q.qsize())]
+            for q in queues
+        ]
+        assert ids == [[100, 102], [101]]
+        answer(server._pool.callbacks[3:])  # the list is empty again: wake
+        assert len(server._loop.wakeups) == 1
+
+    def test_concurrent_pumps_lose_no_frame(self):
+        """Stress: pump threads post while the loop drains the ready list;
+        every frame arrives exactly once, in its pump's order, and none is
+        stranded without a wake-up."""
+        import asyncio
+        import sys
+
+        server = NetServer()
+        loop = asyncio.new_event_loop()
+        runner = threading.Thread(target=loop.run_forever, daemon=True)
+        runner.start()
+        server._loop = loop
+        pumps, frames_each = 4, 2000
+        queues = [asyncio.Queue() for _ in range(pumps)]
+
+        def pump(k):
+            for j in range(frames_each):
+                server._post(queues[k], b"%d:%d" % (k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pump, args=(k,)) for k in range(pumps)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            # Runs after every wake-up the pumps scheduled.
+            drained = threading.Event()
+            loop.call_soon_threadsafe(drained.set)
+            assert drained.wait(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            loop.call_soon_threadsafe(loop.stop)
+            runner.join(timeout=30.0)
+            loop.close()
+        assert not runner.is_alive()
+        assert server._ready == []
+        for k, frames in enumerate(queues):
+            got = [frames.get_nowait() for _ in range(frames.qsize())]
+            assert got == [b"%d:%d" % (k, j) for j in range(frames_each)]
+
+    def test_ready_frames_leave_a_connection_in_one_write(self):
+        import asyncio
+
+        frames = [
+            encode_frame(
+                {"type": "result", "id": i}, [array_to_bytes(np.arange(i + 1.0))]
+            )
+            for i in range(3)
+        ]
+        late = encode_frame({"type": "pong", "id": 9})
+
+        class Writer:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+            async def drain(self):
+                await asyncio.sleep(0)
+
+        async def run():
+            out_q, writer = asyncio.Queue(), Writer()
+            for frame in frames:
+                out_q.put_nowait(frame)
+            task = asyncio.ensure_future(NetServer()._drain_responses(out_q, writer))
+            while not writer.writes:
+                await asyncio.sleep(0)
+            for item in (late, None, encode_frame({"type": "pong", "id": 10})):
+                out_q.put_nowait(item)
+            await task
+            return writer.writes
+
+        writes = asyncio.run(run())
+        assert writes == [b"".join(frames), late]  # nothing after the close
+        assert _split_frames(writes[0]) == frames
+
+
+# ----------------------------------------------------------------------
 # precision tiers on the response queue and the wire
 # ----------------------------------------------------------------------
 
@@ -554,35 +933,53 @@ class TestProcessTierRowDtypes:
     def _serve_in_process(config, requests):
         """One worker step over ``requests`` (a single key), in-process.
 
-        Returns id → response message, each pickled and unpickled the
-        way a process queue carries it.
+        The requests arrive as one request message, the way the pool
+        flushes a shard's outbox. Returns the one response message the
+        batch answers with, pickled and unpickled the way a process
+        queue carries it.
         """
         import queue
         from multiprocessing.reduction import ForkingPickler
 
-        from repro.serve.net.workers import WorkItem, _admit, _serve_key, _WorkerState
+        from repro.serve.net.workers import (
+            WorkItem,
+            WorkReplies,
+            _drain,
+            _serve_key,
+            _WorkerState,
+        )
 
         state = _WorkerState(config)
-        responses = queue.Queue()
-        for i, request in enumerate(requests):
-            item = WorkItem(
-                i,
-                request.digest,
-                request.b,
-                matrix=request.matrix,
-                solver=request.solver,
-                prep_seed=request.prep_seed,
-                seed=request.seed,
-            )
-            _admit(state, item, responses)
-        _serve_key(state, state.batcher.next_key(), queue.Queue(), responses)
+        inbox, responses = queue.Queue(), queue.Queue()
+        inbox.put(
+            [
+                WorkItem(
+                    i,
+                    request.digest,
+                    request.b,
+                    matrix=request.matrix,
+                    solver=request.solver,
+                    prep_seed=request.prep_seed,
+                    seed=request.seed,
+                )
+                for i, request in enumerate(requests)
+            ]
+        )
+        _drain(state, inbox, responses)
+        assert len(state.batcher) == len(requests)  # one message, all admitted
+        _serve_key(state, state.batcher.next_key(), inbox, responses)
         assert not len(state.batcher)
-        messages = {}
-        while not responses.empty():
-            message = ForkingPickler.loads(ForkingPickler.dumps(responses.get()))
-            assert message.id not in messages
-            messages[message.id] = message
-        return messages
+        replies = ForkingPickler.loads(ForkingPickler.dumps(responses.get_nowait()))
+        assert responses.empty()  # the executed batch answers as one message
+        assert isinstance(replies, WorkReplies)
+        return replies
+
+    @staticmethod
+    def _rows(replies) -> dict:
+        """id → row of one response message (each id answered once)."""
+        rows = {row.id: row for row in replies.rows}
+        assert len(rows) == len(replies.rows)
+        return rows
 
     @staticmethod
     def _poison_one(requests, monkeypatch) -> int:
@@ -599,34 +996,35 @@ class TestProcessTierRowDtypes:
         monkeypatch.setenv(CHAOS_ENV, plan.chaos_env()[CHAOS_ENV])
         return fractions.index(lowest)
 
-    def _assert_rows_match(self, messages, reference, batch, x_dtype):
+    def _assert_rows_match(self, rows, reference, batch, x_dtype):
         from repro.serve.net.protocol import STATUS_OK
         from repro.serve.net.workers import WorkDone
 
-        assert sorted(messages) == list(range(len(reference)))
+        assert sorted(rows) == list(range(len(reference)))
         for i, ref in enumerate(reference):
-            message = messages[i]
-            assert isinstance(message, WorkDone) and message.status == STATUS_OK
-            assert message.telemetry["batch"] == batch
-            assert message.x.dtype == x_dtype
-            assert message.reference.dtype == np.float64
-            assert np.array_equal(message.x, ref.x)
-            assert np.array_equal(message.reference, ref.reference)
+            row = rows[i]
+            assert isinstance(row, WorkDone) and row.status == STATUS_OK
+            assert row.telemetry["batch"] == batch
+            assert row.x.dtype == x_dtype
+            assert row.reference.dtype == np.float64
+            assert np.array_equal(row.x, ref.x)
+            assert np.array_equal(row.reference, ref.reference)
 
     def test_rows_round_trip_bit_exact(self):
-        """One message per request; each carries run_sequential's bits."""
+        """One message per batch, one row per request; each row carries
+        run_sequential's bits."""
         requests = _requests(n=3, unique=1, sizes=(12,), seed=1)
         config = ServiceConfig(max_batch_size=len(requests), max_linger_s=0.0)
         reference, _ = run_sequential(requests, config)
-        messages = self._serve_in_process(config, requests)
-        self._assert_rows_match(messages, reference, len(requests), np.float64)
+        rows = self._rows(self._serve_in_process(config, requests))
+        self._assert_rows_match(rows, reference, len(requests), np.float64)
 
     def test_single_row_batch(self):
         requests = _requests(n=1, unique=1, sizes=(12,), seed=2)
         config = ServiceConfig(max_linger_s=0.0)
         reference, _ = run_sequential(requests, config)
-        messages = self._serve_in_process(config, requests)
-        self._assert_rows_match(messages, reference, 1, np.float64)
+        rows = self._rows(self._serve_in_process(config, requests))
+        self._assert_rows_match(rows, reference, 1, np.float64)
 
     def test_f32_rows_round_trip_at_f32(self):
         """Float32-tier solutions are not upcast next to float64 references."""
@@ -635,30 +1033,33 @@ class TestProcessTierRowDtypes:
             max_batch_size=len(requests), max_linger_s=0.0, backend="numpy-f32"
         )
         reference, _ = run_sequential(requests, config)
-        messages = self._serve_in_process(config, requests)
-        self._assert_rows_match(messages, reference, len(requests), np.float32)
+        rows = self._rows(self._serve_in_process(config, requests))
+        self._assert_rows_match(rows, reference, len(requests), np.float32)
 
     def test_each_message_carries_only_its_row(self):
-        """A row's message pickles that row's two arrays, not the batch's."""
+        """Each row of a batch's message pickles that row's two arrays,
+        not the batch's: emptying one row's arrays shrinks the message
+        by at most their own bytes."""
         from dataclasses import replace
         from multiprocessing.reduction import ForkingPickler
 
         n = 64
         requests = _requests(n=4, unique=1, sizes=(n,), seed=4)
         config = ServiceConfig(max_batch_size=len(requests), max_linger_s=0.0)
-        messages = self._serve_in_process(config, requests)
-        assert len(messages) == len(requests)
-        for message in messages.values():
-            assert message.x.shape == message.reference.shape == (n,)
-            emptied = replace(message, x=message.x[:0], reference=message.reference[:0])
-            arrays = len(ForkingPickler.dumps(message)) - len(
-                ForkingPickler.dumps(emptied)
-            )
-            assert arrays <= message.x.nbytes + message.reference.nbytes + 64
+        replies = self._serve_in_process(config, requests)
+        assert len(replies.rows) == len(requests)
+        size = len(ForkingPickler.dumps(replies))
+        for i, row in enumerate(replies.rows):
+            assert row.x.shape == row.reference.shape == (n,)
+            emptied = replace(row, x=row.x[:0], reference=row.reference[:0])
+            rows = replies.rows[:i] + [emptied] + replies.rows[i + 1 :]
+            arrays = size - len(ForkingPickler.dumps(replace(replies, rows=rows)))
+            assert arrays <= row.x.nbytes + row.reference.nbytes + 64
 
     def test_failed_row_leaves_its_neighbours_intact(self, monkeypatch):
         """Without a fallback the poisoned request fails typed on its own
-        message; the rest of the batch keeps its dtypes and bits."""
+        row of the batch's message; the other rows keep their dtypes and
+        bits."""
         from repro.serve.net.workers import WorkFailed
 
         requests = _requests(n=4, unique=1, sizes=(12,), seed=5)
@@ -667,14 +1068,14 @@ class TestProcessTierRowDtypes:
         )
         reference, _ = run_sequential(requests, config)
         poisoned = self._poison_one(requests, monkeypatch)
-        messages = self._serve_in_process(config, requests)
-        failed = messages.pop(poisoned)
+        rows = self._rows(self._serve_in_process(config, requests))
+        failed = rows.pop(poisoned)
         assert isinstance(failed, WorkFailed)
         assert isinstance(error_from_wire(failed.error), SolverError)
         del reference[poisoned]
-        assert sorted(messages) == [i for i in range(len(requests)) if i != poisoned]
-        messages = dict(enumerate(messages[i] for i in sorted(messages)))
-        self._assert_rows_match(messages, reference, len(requests), np.float32)
+        assert sorted(rows) == [i for i in range(len(requests)) if i != poisoned]
+        rows = dict(enumerate(rows[i] for i in sorted(rows)))
+        self._assert_rows_match(rows, reference, len(requests), np.float32)
 
     def test_f32_batch_with_degraded_row_keeps_row_dtypes_and_bits(
         self, monkeypatch

@@ -8,9 +8,12 @@ straggler can still coalesce.
 
 Each case drives one shard in-process, one loop step at a time: the
 thread tier through a :class:`SolverService` shard, the process tier
-through a worker's state with :class:`queue.Queue` plumbing. The linger
-window is 5 s, so timing cannot pass a case by accident: a shard that
-waited the window out fails the ``< PROMPT_S`` checks.
+through a worker's state with :class:`queue.Queue` plumbing. Requests
+put together reach the process worker as one request message, the way
+the pool flushes a shard's outbox, and each executed batch must answer
+as one response message. The linger window is 5 s, so timing cannot
+pass a case by accident: a shard that waited the window out fails the
+``< PROMPT_S`` checks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ from repro.serve import (
     SolveTicket,
     matrix_digest,
 )
-from repro.serve.net.workers import WorkDone, WorkItem, _drain, _serve_key, _WorkerState
+from repro.serve.net.workers import (
+    WorkDone,
+    WorkItem,
+    WorkReplies,
+    _drain,
+    _serve_key,
+    _WorkerState,
+)
 from repro.serve.service import _Shard, resolve_request
 
 LINGER_S = 5.0
@@ -63,8 +73,9 @@ class _ThreadTier:
         self.tickets.append(ticket)
         return ticket
 
-    def put(self, item) -> None:
-        self.shard.queue.put(item)
+    def put(self, *items) -> None:
+        for item in items:
+            self.shard.queue.put(item)
 
     def step(self) -> int:
         """One loop iteration: drain, serve the next key; returns answers."""
@@ -99,8 +110,9 @@ class _ProcessTier:
             next(self.ids), matrix_digest(matrix), np.ones(len(matrix)), matrix=matrix
         )
 
-    def put(self, item) -> None:
-        self.requests.put(item)
+    def put(self, *items) -> None:
+        """Put ``items`` as one request message."""
+        self.requests.put(list(items))
 
     def step(self) -> int:
         """One loop iteration: drain, serve the next key; returns answers."""
@@ -108,11 +120,14 @@ class _ProcessTier:
         _serve_key(
             self.state, self.state.batcher.next_key(), self.requests, self.responses
         )
-        answered = 0
+        messages = []
         while not self.responses.empty():
-            assert isinstance(self.responses.get(), WorkDone)
-            answered += 1
-        return answered
+            messages.append(self.responses.get())
+        assert len(messages) <= 1  # the one executed batch, one message
+        rows = [row for message in messages for row in message.rows]
+        assert all(isinstance(m, WorkReplies) for m in messages)
+        assert all(isinstance(row, WorkDone) for row in rows)
+        return len(rows)
 
     def pending(self) -> int:
         return len(self.state.batcher)
@@ -151,8 +166,7 @@ def _timed_step(tier, arrival=None) -> tuple[int, float]:
 
 def test_two_keys_queued_first_batch_goes_out_without_waiting(make_tier):
     tier = make_tier()
-    tier.put(tier.request(_matrix(1)))
-    tier.put(tier.request(_matrix(2)))
+    tier.put(tier.request(_matrix(1)), tier.request(_matrix(2)))
     answered, elapsed = _timed_step(tier)
     assert answered == 1
     assert elapsed < PROMPT_S
@@ -181,8 +195,7 @@ def test_linger_ends_when_another_keys_request_arrives(make_tier):
 def test_full_lone_key_batch_goes_out_without_waiting(make_tier):
     tier = make_tier(max_batch_size=2)
     matrix = _matrix(1)
-    tier.put(tier.request(matrix))
-    tier.put(tier.request(matrix))
+    tier.put(tier.request(matrix), tier.request(matrix))
     answered, elapsed = _timed_step(tier)
     assert answered == 2  # nothing left to wait for: the batch is full
     assert elapsed < PROMPT_S
@@ -192,9 +205,7 @@ def test_full_lone_key_batch_goes_out_without_waiting(make_tier):
 def test_queued_group_goes_out_whole_while_another_key_waits(make_tier):
     tier = make_tier()
     matrix = _matrix(1)
-    tier.put(tier.request(matrix))
-    tier.put(tier.request(matrix))
-    tier.put(tier.request(_matrix(2)))
+    tier.put(tier.request(matrix), tier.request(matrix), tier.request(_matrix(2)))
     answered, elapsed = _timed_step(tier)
     assert answered == 2  # no linger, but what was already queued coalesces
     assert elapsed < PROMPT_S
@@ -204,9 +215,7 @@ def test_queued_group_goes_out_whole_while_another_key_waits(make_tier):
 def test_partial_take_yields_to_the_waiting_key(make_tier):
     tier = make_tier(max_batch_size=2)
     hot = _matrix(1)
-    for _ in range(3):
-        tier.put(tier.request(hot))
-    tier.put(tier.request(_matrix(2)))
+    tier.put(*(tier.request(hot) for _ in range(3)), tier.request(_matrix(2)))
     answered, elapsed = _timed_step(tier)
     assert answered == 2 and elapsed < PROMPT_S
     # Round-robin: the hot key's remainder rotated behind the other key,
@@ -214,3 +223,22 @@ def test_partial_take_yields_to_the_waiting_key(make_tier):
     answered, elapsed = _timed_step(tier)
     assert answered == 1 and elapsed < PROMPT_S
     assert tier.pending() == 1
+
+
+def test_close_ends_a_thread_shard_linger():
+    """A closed service takes no stragglers, so ``close()`` does not wait
+    out a lone key's linger window: the batch goes out and is answered."""
+    service = SolverService(_config(max_batch_size=2))
+    matrix = _matrix(1)
+    b = np.ones(len(matrix))
+    try:
+        # Warm the key with a full batch, which does not linger.
+        for ticket in [service.submit(matrix, b) for _ in range(2)]:
+            ticket.result(timeout=PROMPT_S)
+        ticket = service.submit(matrix, b)
+        start = time.perf_counter()
+    finally:
+        service.close()
+    assert time.perf_counter() - start < PROMPT_S
+    assert ticket.exception(timeout=0) is None
+    assert np.all(np.isfinite(ticket.result(timeout=0).x))
