@@ -22,7 +22,7 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.serve.cache import CacheStats
 
-__all__ = ["MetricsRecorder", "ServiceMetrics"]
+__all__ = ["CountLog", "MetricsRecorder", "ServiceMetrics"]
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,11 @@ class MetricsRecorder:
             self.latencies.append(latency_s)
             self.last_done_t = time.perf_counter()
 
+    def replay(self, calls) -> None:
+        """Apply counts a :class:`CountLog` kept, in order."""
+        for name, args in calls:
+            getattr(self, name)(*args)
+
     def snapshot(self, cache: CacheStats) -> ServiceMetrics:
         """Freeze current counters (plus aggregated cache stats)."""
         with self._lock:
@@ -326,3 +331,29 @@ class MetricsRecorder:
                 prepare_s=self.prepare_s,
                 stages=stages,
             )
+
+
+class CountLog:
+    """Counts made under :class:`MetricsRecorder`'s ``record_*`` names, kept as calls.
+
+    A process-tier worker counts into one, ships :meth:`drain` with each
+    response message, and the front end applies the calls to its own
+    recorder with :meth:`MetricsRecorder.replay`.
+    """
+
+    def __init__(self):
+        self.calls: list = []
+
+    def __getattr__(self, name: str):
+        if not name.startswith("record_") or not hasattr(MetricsRecorder, name):
+            raise AttributeError(name)
+
+        def record(*args) -> None:
+            self.calls.append((name, args))
+
+        return record
+
+    def drain(self) -> list:
+        """The calls kept since the previous drain."""
+        calls, self.calls = self.calls, []
+        return calls

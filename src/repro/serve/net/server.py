@@ -29,8 +29,11 @@ refusal a typed wire error with its own status:
    ready and never waits for more.
 
 Deadlines arrive as ``deadline_ms`` (client-relative), are converted to
-an absolute wall-clock instant on receipt, and propagate into the worker
-process, which drops expired items before execution.
+an absolute ``time.perf_counter()`` instant on receipt
+(``CLOCK_MONOTONIC`` on Linux, the same clock in every process on the
+host, so a wall-clock step neither expires nor extends one), and
+propagate into the worker process, whose shard engine drops expired
+items before execution, as a thread shard does.
 """
 
 from __future__ import annotations
@@ -354,7 +357,7 @@ class NetServer:
                 prep_seed=header.get("prep_seed"),
                 seed=int(header.get("seed", 0)),
                 deadline_at=(
-                    time.time() + deadline_s if deadline_s is not None else None
+                    time.perf_counter() + deadline_s if deadline_s is not None else None
                 ),
                 callback=callback,
                 trace=span.context() if span.enabled else None,

@@ -3,13 +3,14 @@
 The in-process :class:`~repro.serve.service.SolverService` shards onto
 *threads*; this pool shards the same way onto *processes*, so heavy
 solves scale past the GIL on multi-core hosts. Each worker process owns
-exactly what a thread shard owns — a warm
-:class:`~repro.serve.cache.PreparedSolverCache`, a
-:class:`~repro.serve.batching.MicroBatcher`, per-key circuit breakers —
-and executes every batch through the same canonical kernel
-(:func:`~repro.serve.batching.execute_batch`), so results are
-bit-identical to :func:`~repro.serve.service.run_sequential` regardless
-of process count or scheduling.
+one :class:`~repro.serve.shard.ShardEngine`, the same step a thread
+shard runs — a warm :class:`~repro.serve.cache.PreparedSolverCache`, a
+:class:`~repro.serve.batching.MicroBatcher`, per-key circuit breakers,
+deadline expiry, bisecting isolation and the fallback ladder — so
+results are bit-identical to :func:`~repro.serve.service.run_sequential`
+regardless of process count or scheduling, and failures are those of a
+thread shard. The worker adds only its transport: it admits request
+messages, keeps the matrix stash, and answers on the response queue.
 
 Plumbing per shard: an unbounded request queue in and a response queue
 out, each message carrying whatever was ready when it was sent. A
@@ -22,9 +23,10 @@ message, which the worker admits in order. A response message is one
 pickled at their own dtypes (so the bits cross unchanged). Nothing waits
 for a message to fill: no timer, no size threshold. A **pump thread** in
 the front-end process drains each shard's responses and fires the
-completion callbacks. A worker lingers for stragglers only while its
-batcher holds nothing but the key it is about to serve, like a thread
-shard.
+completion callbacks. The counts the worker's engine makes (batches,
+retries, breaker transitions, deadline misses, degraded answers,
+prepare time and, while tracing, stage durations) travel with each
+response message and are replayed into the front end's recorder.
 
 Failure story:
 
@@ -39,10 +41,13 @@ Failure story:
   may answer :class:`~repro.errors.UnknownDigestError`; the parent
   forgets the digest and the network client transparently re-sends the
   payload;
-- deadlines are absolute wall-clock (``time.time()``) instants, valid
-  across the process boundary on one host; expired items fail with
-  :class:`~repro.errors.DeadlineExceededError` before occupying a
-  batch slot;
+- deadlines are absolute ``time.perf_counter()`` instants
+  (``CLOCK_MONOTONIC`` on Linux, one clock for every process on the
+  host, so a wall-clock step neither expires nor extends one); expired
+  items fail with :class:`~repro.errors.DeadlineExceededError` before
+  occupying a batch slot;
+- a worker whose front-end process died (its parent pid changed) exits
+  on its next idle poll instead of polling an orphaned queue for ever;
 - chaos (``REPRO_CHAOS``) injects inside the worker: solve failures and
   slow calls exercise bisection/breakers/fallback, and
   :class:`~repro.testing.chaos.WorkerKillChaos` escalates to a genuine
@@ -61,14 +66,12 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShardFailedError,
@@ -76,9 +79,8 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.obs import tracer as obs
-from repro.serve.batching import MicroBatcher, execute_batch
-from repro.serve.cache import PreparedKey, PreparedSolverCache, prepare_entry
-from repro.serve.metrics import MetricsRecorder
+from repro.serve.cache import CacheStats, PreparedKey
+from repro.serve.metrics import CountLog, MetricsRecorder
 from repro.serve.net.protocol import (
     STATUS_BREAKER_OPEN,
     STATUS_CLOSED,
@@ -89,14 +91,8 @@ from repro.serve.net.protocol import (
     STATUS_SHARD_FAILED,
     STATUS_UNKNOWN_DIGEST,
 )
-from repro.serve.requests import SolveRequest
-from repro.serve.resilience import (
-    DEGRADABLE_ERRORS,
-    CircuitBreaker,
-    digital_fallback,
-    prune_breakers,
-)
 from repro.serve.service import ServiceConfig, resolve_request
+from repro.serve.shard import POLL_S, ShardEngine, stage_metrics_hook
 from repro.testing.chaos import WorkerKillChaos, chaos_entry_transform, plan_from_env
 
 __all__ = [
@@ -107,9 +103,6 @@ __all__ = [
     "WorkOutcome",
     "WorkReplies",
 ]
-
-#: Idle-poll period of worker loops and pump threads.
-_POLL_S = 0.02
 
 #: Non-failure statuses (the outcome carries result arrays).
 _SUCCESS_STATUSES = (STATUS_OK, STATUS_DEGRADED)
@@ -145,11 +138,15 @@ class WorkItem:
     solver: str | None = None
     prep_seed: int | None = None
     seed: int = 0
-    #: Absolute wall-clock (``time.time()``) expiry, or ``None``.
+    #: Absolute ``time.perf_counter()`` expiry (``CLOCK_MONOTONIC``, one
+    #: clock for every process on the host), or ``None``.
     deadline_at: float | None = None
     #: Propagated trace context (:meth:`repro.obs.Span.context` of the
     #: server-side span), or ``None``; stitches the cross-process tree.
     trace: dict | None = None
+    #: Not a field: net requests always use the service's default hardware
+    #: (read by :func:`~repro.serve.service.resolve_request`).
+    hardware = None
 
 
 @dataclass(frozen=True)
@@ -181,10 +178,13 @@ class WorkReplies:
 
     #: :class:`WorkDone`/:class:`WorkFailed` rows, in answer order.
     rows: list
-    #: Counter deltas since the worker's previous message.
-    counters: dict
-    #: Cumulative (hits, misses, evictions, prepare_s) of the worker cache.
+    #: :class:`~repro.serve.metrics.CountLog` calls since the worker's
+    #: previous message (replayed into the front end's recorder).
+    counters: list
+    #: Cumulative (hits, misses, evictions) of the worker cache.
     cache: tuple
+    #: The worker engine's per-request service-time EWMA (shed input).
+    service_ewma_s: float
 
 
 @dataclass(frozen=True)
@@ -212,59 +212,167 @@ class WorkOutcome:
 class _Job:
     """A :class:`WorkItem` resolved to its cache identity (batcher item)."""
 
-    __slots__ = ("item", "key", "hardware", "span", "admitted_at")
+    __slots__ = (
+        "item", "key", "hardware", "matrix", "b", "seed", "deadline_at",
+        "span", "submitted_at",
+    )
 
-    def __init__(self, item: WorkItem, key: PreparedKey, hardware):
+    def __init__(self, item: WorkItem, key: PreparedKey, hardware, matrix):
         self.item = item
         self.key = key
         self.hardware = hardware
+        self.matrix = matrix
+        self.b = item.b
+        self.seed = item.seed
+        self.deadline_at = item.deadline_at
         #: Worker-side request span (NOOP when tracing is disabled).
         self.span = obs.NOOP_SPAN
-        self.admitted_at = 0.0
+        #: Admission stamp, the start of the queue stage (set while tracing).
+        self.submitted_at = 0.0
 
 
-class _RequestView:
-    """Duck-typed stand-in for :class:`SolveRequest` in ``resolve_request``.
+class _Worker(ShardEngine):
+    """One worker process: its shard engine plus the queue transport."""
 
-    Carries only the identity fields — the matrix may be absent (digest
-    known to the worker), which a real ``SolveRequest`` cannot express.
-    """
-
-    __slots__ = ("digest", "solver", "hardware", "prep_seed")
-
-    def __init__(self, digest: str, solver: str | None, prep_seed: int | None):
-        self.digest = digest
-        self.solver = solver
-        self.hardware = None  # net requests always use the service default
-        self.prep_seed = prep_seed
-
-
-class _WorkerState:
-    """Everything one worker process owns (mirrors a thread ``_Shard``)."""
-
-    def __init__(self, config: ServiceConfig):
-        self.config = config
-        self.cache = PreparedSolverCache(config.cache_capacity)
-        self.batcher = MicroBatcher(config.max_batch_size)
-        self.breakers: dict[PreparedKey, CircuitBreaker] = {}
+    def __init__(self, config: ServiceConfig, request_q, response_q):
+        self.plan = plan_from_env()
+        if config.entry_transform is None and self.plan is not None:
+            config = replace(config, entry_transform=chaos_entry_transform(self.plan))
+        super().__init__(replace(config, lean_results=True), CountLog())
+        self.request_q = request_q
+        self.response_q = response_q
         #: digest → matrix, bounded LRU (evictions answer UnknownDigestError).
         self.matrices: OrderedDict[str, np.ndarray] = OrderedDict()
         self.matrix_capacity = max(64, 4 * config.cache_capacity)
-        self.plan = plan_from_env()
-        self.entry_transform = config.entry_transform
-        if self.entry_transform is None and self.plan is not None:
-            self.entry_transform = chaos_entry_transform(self.plan)
-        self.prepare_s = 0.0
-        self.counters = {"retries": 0, "breaker_transitions": 0, "batch_sizes": []}
+        #: The process that forked this worker; a change means it died.
+        self.parent = os.getppid()
 
-    def drain_counters(self) -> dict:
-        out = {k: v for k, v in self.counters.items() if v}
-        self.counters = {"retries": 0, "breaker_transitions": 0, "batch_sizes": []}
-        return out
+    def run(self) -> None:
+        """Serve until the close sentinel, or until the front end is gone."""
+        while True:
+            if not len(self.batcher) and not self._pull(POLL_S):
+                if os.getppid() != self.parent:
+                    # Orphaned: nothing will read our answers, so exit
+                    # without flushing them into a pipe no one drains.
+                    self.response_q.cancel_join_thread()
+                    return
+                continue
+            self.drain()
+            self.step()
 
-    def cache_snapshot(self) -> tuple:
-        stats = self.cache.stats
-        return (stats.hits, stats.misses, stats.evictions, self.prepare_s)
+    def _pull(self, timeout: float) -> bool:
+        try:
+            if timeout:
+                message = self.request_q.get(timeout=timeout)
+            else:
+                message = self.request_q.get_nowait()
+        except queue.Empty:
+            return False
+        if message is None:
+            # Keep draining until exit so close() never strands a put.
+            raise SystemExit(0)
+        for item in message:
+            self._admit(item)
+        return True
+
+    def _admit(self, item: WorkItem) -> None:
+        """Resolve one item to its cache identity; fail it typed if impossible."""
+        if item.matrix is not None:
+            self.matrices[item.digest] = item.matrix
+        elif item.digest not in self.matrices:
+            error = UnknownDigestError(
+                f"worker holds no matrix for digest {item.digest[:12]} "
+                "(restarted or evicted); re-send with the payload"
+            )
+            self._reply([_failed_row(item, error)])
+            return
+        # A payload or a reference both make the digest most recently used;
+        # evict only after, so the digest being admitted always survives.
+        self.matrices.move_to_end(item.digest)
+        matrix = self.matrices[item.digest]
+        while len(self.matrices) > self.matrix_capacity:
+            self.matrices.popitem(last=False)
+        try:
+            key, hardware = resolve_request(item, self.config)
+        except Exception as exc:
+            self._reply([_failed_row(item, exc)])
+            return
+        job = _Job(item, key, hardware, matrix)
+        tracer = obs.active()
+        if tracer.enabled:
+            # item.trace stitches this span under the server-side request
+            # span even though we are in a different process.
+            job.span = tracer.start_span(
+                "shard.request",
+                trace=item.trace,
+                attributes={
+                    "digest": item.digest[:12],
+                    "seed": item.seed,
+                    "pid": os.getpid(),
+                },
+            )
+            job.submitted_at = time.perf_counter()
+        self.batcher.add(job)
+
+    def _run_kernel(self, entry, jobs: list):
+        """The engine's kernel call with the chaos-kill escalation seam.
+
+        :class:`WorkerKillChaos` becomes a genuine ``SIGKILL`` of this
+        process — unless the plan's ``state_dir`` kill budget for the
+        triggering rhs is exhausted, in which case the batch re-executes
+        clean (the chaos wrapper kills each tag at most once per process).
+        """
+        while True:
+            try:
+                return super()._run_kernel(entry, jobs)
+            except WorkerKillChaos as chaos:
+                plan = self.plan
+                tag = getattr(chaos, "tag", "")
+                if (
+                    plan is not None
+                    and plan.state_dir is not None
+                    and not plan._consume_budget("kill", tag, plan.max_kills_per_unit)
+                ):
+                    continue
+                os.kill(os.getpid(), signal.SIGKILL)
+                raise  # pragma: no cover - unreachable
+
+    def _deliver(self, finished: list) -> None:
+        """Answer outcomes as one message, one row per request.
+
+        Each row carries its own arrays, so a float64 degraded row next to
+        float32 analog rows keeps every row's dtype.
+        """
+        rows = []
+        for job, outcome, status in finished:
+            if status:
+                job.span.end(status=status)
+                rows.append(
+                    WorkDone(
+                        id=job.item.id,
+                        status=status,
+                        x=outcome.x,
+                        reference=outcome.reference,
+                        telemetry=_telemetry(outcome, len(finished)),
+                    )
+                )
+            else:
+                job.span.fail(outcome)
+                rows.append(_failed_row(job.item, outcome))
+        self._reply(rows)
+
+    def _reply(self, rows: list) -> None:
+        """Put ``rows`` on the response queue as one message (none if empty)."""
+        if rows:
+            stats = self.cache.stats
+            self.response_q.put(
+                WorkReplies(
+                    rows,
+                    self.recorder.drain(),
+                    (stats.hits, stats.misses, stats.evictions),
+                    self.service_ewma_s,
+                )
+            )
 
 
 def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
@@ -272,358 +380,20 @@ def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
     if config.trace_dir is not None:
         # Fresh tracer in the child: own lock, own spans-<pid>.jsonl.
         obs.configure(trace_dir=config.trace_dir)
-    state = _WorkerState(config)
-    while True:
-        if not len(state.batcher):
-            try:
-                message = request_q.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            _admit_message(state, message, response_q)
-        _drain(state, request_q, response_q)
-        key = state.batcher.next_key()
-        if key is None:
-            continue
-        _serve_key(state, key, request_q, response_q)
-
-
-def _drain(state: _WorkerState, request_q, response_q) -> None:
-    while len(state.batcher) < state.config.queue_depth:
-        try:
-            message = request_q.get_nowait()
-        except queue.Empty:
-            return
-        _admit_message(state, message, response_q)
-
-
-def _admit_message(state: _WorkerState, message, response_q) -> None:
-    """Admit one request message's items in order; ``None`` stops the worker."""
-    if message is None:
-        # Keep draining until exit so close() never strands a put.
-        raise SystemExit(0)
-    for item in message:
-        _admit(state, item, response_q)
-
-
-def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
-    """Resolve one item to its cache identity; fail it typed if impossible."""
-    if item.matrix is not None:
-        state.matrices[item.digest] = item.matrix
-    elif item.digest not in state.matrices:
-        error = UnknownDigestError(
-            f"worker holds no matrix for digest {item.digest[:12]} "
-            "(restarted or evicted); re-send with the payload"
-        )
-        _reply(state, response_q, [_failed_row(item, error)])
-        return
-    # A payload or a reference both make the digest most recently used;
-    # evict only after, so the digest being admitted always survives.
-    state.matrices.move_to_end(item.digest)
-    while len(state.matrices) > state.matrix_capacity:
-        state.matrices.popitem(last=False)
-    try:
-        key, hardware = resolve_request(
-            _RequestView(item.digest, item.solver, item.prep_seed), state.config
-        )
-    except Exception as exc:
-        _reply(state, response_q, [_failed_row(item, exc)])
-        return
-    job = _Job(item, key, hardware)
-    tracer = obs.active()
-    if tracer.enabled:
-        # item.trace stitches this span under the server-side request
-        # span even though we are in a different process.
-        job.span = tracer.start_span(
-            "shard.request",
-            trace=item.trace,
-            attributes={
-                "digest": item.digest[:12],
-                "seed": item.seed,
-                "pid": os.getpid(),
-            },
-        )
-        job.admitted_at = time.perf_counter()
-    state.batcher.add(job)
-
-
-def _serve_key(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
-    """Execute (or fail) the pending group for one prepared key."""
-    breaker = _breaker_for(state, key)
-    if breaker is not None and not breaker.allow():
-        _fail_key_group(
-            state,
-            key,
-            response_q,
-            CircuitOpenError(
-                f"circuit breaker open for prepared solver {key.solver!r} "
-                f"on matrix {key.matrix_digest[:12]}",
-                retry_after_s=breaker.retry_after_s(),
-            ),
-        )
-        return
-    entry = _entry_for(state, key, breaker, response_q)
-    if entry is None:
-        return
-    if entry.coalescible and state.config.max_linger_s > 0.0:
-        _linger(state, key, request_q, response_q)
-    batch = _expire(state, state.batcher.take(key), response_q)
-    if not batch:
-        return
-    state.cache.credit_hits(len(batch) - 1)
-    state.counters["batch_sizes"].append(len(batch))
-    start = time.perf_counter()
-    tracer = obs.active()
-    batch_span = obs.NOOP_SPAN
-    if tracer.enabled:
-        for job in batch:
-            # Retroactive: admit → execution-start gap, no extra clock
-            # reads on the untraced path.
-            tracer.record_span(
-                "shard.queue",
-                parent=job.span,
-                start_s=job.admitted_at,
-                end_s=start,
-            )
-        batch_span = tracer.start_span(
-            "shard.batch",
-            attributes={
-                "size": len(batch),
-                "solver": key.solver,
-                "pid": os.getpid(),
-                "members": [job.span.span_id for job in batch],
-            },
-            start_s=start,
-        )
-    finished: list[tuple[_Job, object, str]] = []
-    if tracer.enabled:
-        with tracer.use_span(batch_span):
-            _execute(state, entry, batch, breaker, finished)
-    else:
-        _execute(state, entry, batch, breaker, finished)
-    per_request = (time.perf_counter() - start) / len(batch)
-    if tracer.enabled:
-        solved = time.perf_counter()
-        for job, result, status in finished:
-            if status:
-                tracer.record_span(
-                    "shard.solve",
-                    parent=job.span,
-                    start_s=start,
-                    end_s=solved,
-                    attributes={
-                        "batch_span": batch_span.span_id,
-                        "analog_time_s": float(
-                            getattr(result, "analog_time_s", 0.0)
-                        ),
-                    },
-                )
-        batch_span.end()
-    _publish(state, finished, response_q, per_request)
-
-
-def _breaker_for(state: _WorkerState, key: PreparedKey) -> CircuitBreaker | None:
-    policy = state.config.resilience
-    if policy.breaker_threshold < 1:
-        return None
-    breaker = state.breakers.get(key)
-    if breaker is None:
-
-        def count():
-            state.counters["breaker_transitions"] += 1
-
-        breaker = CircuitBreaker(
-            policy.breaker_threshold, policy.breaker_reset_s, on_transition=count
-        )
-        state.breakers[key] = breaker
-        prune_breakers(state.breakers, state.cache, keep=key)
-    return breaker
-
-
-def _record_key_failure(
-    state: _WorkerState, key: PreparedKey, breaker: CircuitBreaker | None
-) -> None:
-    if breaker is not None and breaker.record_failure():
-        state.cache.invalidate(key)
-
-
-def _entry_for(state: _WorkerState, key: PreparedKey, breaker, response_q):
-    head = state.batcher.peek(key)
-    matrix = state.matrices.get(head.item.digest)
-    if matrix is None:
-        _fail_key_group(
-            state,
-            key,
-            response_q,
-            UnknownDigestError(
-                f"worker evicted the matrix for digest {key.matrix_digest[:12]}; "
-                "re-send with the payload"
-            ),
-        )
-        return None
-
-    def factory():
-        entry = prepare_entry(key, matrix, head.hardware)
-        state.prepare_s += entry.prepare_seconds
-        if state.entry_transform is not None:
-            entry = state.entry_transform(entry)
-        return entry
-
-    try:
-        return state.cache.get_or_prepare(key, factory)
-    except Exception as exc:
-        _record_key_failure(state, key, breaker)
-        _fail_key_group(state, key, response_q, exc)
-        return None
-
-
-def _linger(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
-    """Hold a lone key's batch open for stragglers (work-conserving)."""
-    batcher = state.batcher
-    limit = min(state.config.max_batch_size, state.config.queue_depth)
-    deadline = time.perf_counter() + state.config.max_linger_s
-    while len(batcher) == batcher.pending_for(key) < limit:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0.0:
-            return
-        try:
-            message = request_q.get(timeout=remaining)
-        except queue.Empty:
-            return
-        _admit_message(state, message, response_q)
-
-
-def _expire(state: _WorkerState, batch: list[_Job], response_q) -> list[_Job]:
-    live, expired = [], []
-    now = time.time()
-    for job in batch:
-        if job.item.deadline_at is not None and now >= job.item.deadline_at:
-            error = DeadlineExceededError(
-                "deadline expired before the request reached execution"
-            )
-            job.span.fail(error)
-            expired.append(_failed_row(job.item, error))
-        else:
-            live.append(job)
-    _reply(state, response_q, expired)
-    return live
-
-
-def _run_kernel(state: _WorkerState, entry, jobs: list[_Job]):
-    """``execute_batch`` with the chaos-kill escalation seam.
-
-    :class:`WorkerKillChaos` becomes a genuine ``SIGKILL`` of this
-    process — unless the plan's ``state_dir`` kill budget for the
-    triggering rhs is exhausted, in which case the batch re-executes
-    clean (the chaos wrapper kills each tag at most once per process).
-    """
-    while True:
-        try:
-            return execute_batch(
-                entry,
-                [j.item.b for j in jobs],
-                [j.item.seed for j in jobs],
-                lean=True,
-            )
-        except WorkerKillChaos as chaos:
-            plan = state.plan
-            tag = getattr(chaos, "tag", "")
-            if (
-                plan is not None
-                and plan.state_dir is not None
-                and not plan._consume_budget("kill", tag, plan.max_kills_per_unit)
-            ):
-                continue
-            os.kill(os.getpid(), signal.SIGKILL)
-            raise  # pragma: no cover - unreachable
-
-
-def _execute(state, entry, jobs: list[_Job], breaker, finished: list) -> None:
-    try:
-        results = _run_kernel(state, entry, jobs)
-    except Exception:
-        _isolate(state, entry, jobs, breaker, finished)
-    else:
-        finished.extend((job, result, STATUS_OK) for job, result in zip(jobs, results))
-        if breaker is not None:
-            breaker.record_success()
-
-
-def _isolate(state, entry, jobs: list[_Job], breaker, finished: list) -> None:
-    """Bisect a failed batch; same blast-radius semantics as the thread tier."""
-    if len(jobs) == 1:
-        job = jobs[0]
-        state.counters["retries"] += 1
-        try:
-            result = _run_kernel(state, entry, jobs)[0]
-        except Exception as exc:
-            _degrade_or_fail(state, entry, job, exc, breaker, finished)
-        else:
-            finished.append((job, result, STATUS_OK))
-            if breaker is not None:
-                breaker.record_success()
-        return
-    mid = len(jobs) // 2
-    for half in (jobs[:mid], jobs[mid:]):
-        state.counters["retries"] += 1
-        try:
-            results = _run_kernel(state, entry, half)
-        except Exception:
-            _isolate(state, entry, half, breaker, finished)
-        else:
-            finished.extend(
-                (job, result, STATUS_OK) for job, result in zip(half, results)
-            )
-            if breaker is not None:
-                breaker.record_success()
-
-
-def _degrade_or_fail(state, entry, job: _Job, exc, breaker, finished: list) -> None:
-    _record_key_failure(state, entry.key, breaker)
-    policy = state.config.resilience
-    if policy.fallback == "digital" and isinstance(exc, DEGRADABLE_ERRORS):
-        matrix = state.matrices.get(job.item.digest)
-        if matrix is not None:
-            try:
-                result = digital_fallback(
-                    SolveRequest(matrix=matrix, b=job.item.b, digest=job.item.digest),
-                    lean=True,
-                )
-            except Exception as fallback_exc:
-                finished.append((job, fallback_exc, None))
-                return
-            finished.append((job, result, STATUS_DEGRADED))
-            return
-    finished.append((job, exc, None))
-
-
-def _publish(state, finished: list, response_q, per_request_s: float) -> None:
-    """Ship one batch's outcomes as one message, one row per request.
-
-    Each row carries its own arrays, so a float64 degraded row next to
-    float32 analog rows keeps every row's dtype.
-    """
-    rows = []
-    for job, outcome, status in finished:
-        if status:
-            job.span.end(status="ok" if status == STATUS_OK else "degraded")
-            rows.append(
-                WorkDone(
-                    id=job.item.id,
-                    status=status,
-                    x=outcome.x,
-                    reference=outcome.reference,
-                    telemetry=_telemetry(outcome, len(finished)),
-                )
-            )
-        else:
-            job.span.fail(outcome)
-            rows.append(_failed_row(job.item, outcome))
-    _reply(state, response_q, rows, service_per_request_s=per_request_s)
+    worker = _Worker(config, request_q, response_q)
+    # While tracing, stage durations ride the counts to the front end.
+    obs.active().add_finish_hook(stage_metrics_hook(worker.recorder))
+    worker.run()
 
 
 def _telemetry(result, batch: int) -> dict:
     metadata = {
-        key: (float(value) if isinstance(value, (int, float, np.floating)) else value)
+        key: (
+            float(value)
+            if isinstance(value, (int, float, np.floating))
+            and not isinstance(value, bool)
+            else value
+        )
         for key, value in result.metadata.items()
         if isinstance(value, (str, bool, int, float, np.floating))
     }
@@ -643,23 +413,6 @@ def _failed_row(item: WorkItem, exc) -> WorkFailed:
         error=error_to_wire(exc),
         digest=item.digest,
     )
-
-
-def _reply(state: _WorkerState, response_q, rows: list, **counters) -> None:
-    """Put ``rows`` on the response queue as one message (none if empty)."""
-    if rows:
-        response_q.put(
-            WorkReplies(rows, state.drain_counters() | counters, state.cache_snapshot())
-        )
-
-
-def _fail_key_group(state: _WorkerState, key: PreparedKey, response_q, exc) -> None:
-    rows = []
-    while group := state.batcher.take(key):
-        for job in group:
-            job.span.fail(exc)
-            rows.append(_failed_row(job.item, exc))
-    _reply(state, response_q, rows)
 
 
 # ----------------------------------------------------------------------
@@ -695,6 +448,7 @@ class _ProcShard:
         self.outbox: list[WorkItem] = []
         #: Digests the current worker incarnation holds matrices for.
         self.known_digests: set[str] = set()
+        #: The worker engine's service-time EWMA, from its latest message.
         self.service_ewma_s = 0.0
         self.restarts = 0
         self.closing = False
@@ -704,8 +458,8 @@ class _ProcShard:
         #: of landing on the orphaned incarnation's queue.
         self.restarting = False
         #: Cache counters carried over from dead incarnations.
-        self.cache_base = (0, 0, 0, 0.0)
-        self.cache_latest = (0, 0, 0, 0.0)
+        self.cache_base = (0, 0, 0)
+        self.cache_latest = (0, 0, 0)
 
     def backlog(self) -> int:
         return len(self.inflight)
@@ -848,6 +602,7 @@ class ProcessWorkerPool:
     ) -> None:
         """Hand one request to its shard; ``callback`` fires exactly once.
 
+        ``deadline_at`` is a ``time.perf_counter()`` instant (or ``None``).
         Raises typed errors for conditions known before dispatch: a dead
         shard (:class:`ShardFailedError`), a full shard
         (:class:`ServiceOverloadedError` — the network tier always
@@ -920,10 +675,8 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def cache_stats(self):
+    def cache_stats(self) -> CacheStats:
         """Aggregated prepared-cache stats across shards (all incarnations)."""
-        from repro.serve.cache import CacheStats
-
         totals = [shard.cache_totals() for shard in self._shards]
         return CacheStats(
             hits=sum(t[0] for t in totals),
@@ -945,7 +698,7 @@ class ProcessWorkerPool:
     def _pump(self, shard: _ProcShard, generation: int) -> None:
         while True:
             try:
-                msg = shard.response_q.get(timeout=_POLL_S)
+                msg = shard.response_q.get(timeout=POLL_S)
             except queue.Empty:
                 with shard.lock:
                     if shard.generation != generation:
@@ -961,8 +714,10 @@ class ProcessWorkerPool:
 
     def _handle_message(self, shard: _ProcShard, msg: WorkReplies) -> None:
         now = time.perf_counter()
-        self._absorb_counters(shard, msg.counters, msg.cache)
+        self.recorder.replay(msg.counters)
         with shard.lock:
+            shard.cache_latest = msg.cache
+            shard.service_ewma_s = msg.service_ewma_s
             pending = [shard.inflight.pop(row.id, None) for row in msg.rows]
             for row in msg.rows:
                 if row.status == STATUS_UNKNOWN_DIGEST:
@@ -976,36 +731,12 @@ class ProcessWorkerPool:
                     reference=row.reference,
                     telemetry=row.telemetry,
                 )
-                if row.status == STATUS_DEGRADED:
-                    self.recorder.record_degraded()
             else:
-                if row.status == STATUS_DEADLINE:
-                    self.recorder.record_deadline_miss()
                 outcome = WorkOutcome(id=row.id, status=row.status, error=row.error)
             if entry is None:  # pragma: no cover - defensive (stale response)
                 continue
             self.recorder.record_done(now - entry.submitted_at, failed=not outcome.ok)
             entry.callback(outcome)
-
-    def _absorb_counters(self, shard: _ProcShard, counters: dict, cache: tuple) -> None:
-        for _ in range(counters.get("retries", 0)):
-            self.recorder.record_retry()
-        for _ in range(counters.get("breaker_transitions", 0)):
-            self.recorder.record_breaker_transition()
-        for size in counters.get("batch_sizes", ()):
-            self.recorder.record_batch(size)
-        per_request = counters.get("service_per_request_s")
-        with shard.lock:
-            prepare_delta = max(0.0, cache[3] - shard.cache_latest[3])
-            shard.cache_latest = cache
-            if per_request is not None:
-                shard.service_ewma_s = (
-                    per_request
-                    if shard.service_ewma_s == 0.0
-                    else 0.8 * shard.service_ewma_s + 0.2 * per_request
-                )
-        if prepare_delta:
-            self.recorder.record_prepare(prepare_delta)
 
     def _handle_death(self, shard: _ProcShard, generation: int) -> None:
         """A worker incarnation died: deliver stragglers, fail the rest."""
@@ -1042,7 +773,7 @@ class ProcessWorkerPool:
             # Fold the dead incarnation's cache counters into the base so
             # pool-level totals survive restarts.
             shard.cache_base = shard.cache_totals()
-            shard.cache_latest = (0, 0, 0, 0.0)
+            shard.cache_latest = (0, 0, 0)
             shard.restarts += 1
             if shard.restarts > self.config.resilience.max_shard_restarts:
                 shard.dead = True

@@ -50,10 +50,13 @@ batches were bisected along the way.
 This class is the **in-process, thread-sharded** tier (the engines are
 NumPy-bound and release the GIL inside BLAS). The network tier —
 :mod:`repro.serve.net` — serves the same requests over TCP through
-**process-based** workers that escape the GIL entirely, reusing this
-module's building blocks (:func:`resolve_request`, the prepared cache,
-the micro-batcher, and :func:`~repro.serve.batching.execute_batch`), so
-both tiers answer with identical bits.
+**process-based** workers that escape the GIL entirely. Both tiers run
+each shard on one :class:`~repro.serve.shard.ShardEngine` (batching,
+caching, breakers, deadline expiry, isolation and fallback, written
+once) and differ only in how jobs arrive and how outcomes leave: here a
+shard's engine reads a bounded queue of :class:`SolveTicket` and resolves
+their futures. Both tiers resolve requests with :func:`resolve_request`,
+so they answer with identical bits and identical failure semantics.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from repro.core.backend import get_backend
 from repro.core.solution import SolveResult
 from repro.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     OverloadedError,
     ServeError,
     ServiceClosedError,
@@ -79,7 +81,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.obs import tracer as obs
-from repro.serve.batching import MicroBatcher, execute_batch
+from repro.serve.batching import execute_batch
 from repro.serve.cache import (
     SOLVER_KINDS,
     CacheStats,
@@ -89,13 +91,8 @@ from repro.serve.cache import (
 )
 from repro.serve.metrics import MetricsRecorder, ServiceMetrics
 from repro.serve.requests import SolveRequest
-from repro.serve.resilience import (
-    DEGRADABLE_ERRORS,
-    CircuitBreaker,
-    ResiliencePolicy,
-    digital_fallback,
-    prune_breakers,
-)
+from repro.serve.resilience import ResiliencePolicy
+from repro.serve.shard import POLL_S, ShardEngine, stage_metrics_hook
 
 __all__ = [
     "ServiceConfig",
@@ -104,31 +101,6 @@ __all__ = [
     "resolve_request",
     "run_sequential",
 ]
-
-#: Idle-poll period of the worker loops (shutdown latency bound).
-_POLL_S = 0.02
-
-#: Lifecycle span name → metrics stage name: these spans feed the
-#: per-stage latency breakdown in :class:`ServiceMetrics`.
-_STAGE_SPANS = {
-    "serve.queue": "queue",
-    "serve.prepare": "prepare",
-    "serve.execute": "execute",
-    "serve.assemble": "assemble",
-    "serve.kernel": "kernel",
-}
-
-
-def _stage_metrics_hook(recorder: MetricsRecorder):
-    """Span-finish hook feeding stage durations into the recorder."""
-
-    def hook(record: dict) -> None:
-        stage = _STAGE_SPANS.get(record["name"])
-        if stage is not None:
-            recorder.record_stage(stage, record["duration_s"])
-
-    return hook
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -274,10 +246,6 @@ def resolve_request(
     return key, hardware
 
 
-#: Backward-compatible private alias (pre-net internal name).
-_resolve = resolve_request
-
-
 class SolveTicket:
     """Handle to one submitted request (a thin Future wrapper)."""
 
@@ -291,6 +259,8 @@ class SolveTicket:
         self.request = request
         self.key = key
         self.hardware = hardware
+        #: The system, as the shard engine reads it.
+        self.matrix, self.b, self.seed = request.matrix, request.b, request.seed
         self.submitted_at = time.perf_counter()
         #: Effective deadline (request override or policy default).
         self.deadline_s = deadline_s
@@ -314,30 +284,51 @@ class SolveTicket:
         return self._future.done()
 
 
-class _Shard:
-    """One worker's queue, cache, batcher, and failure-domain state."""
+class _Shard(ShardEngine):
+    """One worker thread's bounded queue and crash state around its engine."""
 
-    def __init__(self, index: int, config: ServiceConfig):
+    def __init__(self, index: int, service: "SolverService"):
+        super().__init__(service.config, service._metrics)
         self.index = index
-        self.queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self.cache = PreparedSolverCache(config.cache_capacity)
-        self.batcher = MicroBatcher(config.max_batch_size)
+        self.service = service
+        self.queue: queue.Queue = queue.Queue(maxsize=service.config.queue_depth)
         self.thread: threading.Thread | None = None
-        #: Circuit breakers by PreparedKey (created lazily by the worker).
-        self.breakers: dict[PreparedKey, CircuitBreaker] = {}
-        self.breaker_lock = threading.Lock()
-        #: Tickets of the batch currently executing (crash-rescue list).
-        self.inflight: list[SolveTicket] = []
-        #: EWMA of per-request service time; drives load-shedding estimates.
-        self.service_ewma_s = 0.0
         #: Worker-loop crash count (bounded by max_shard_restarts).
         self.restarts = 0
         #: Set (under the submit lock) when the shard stops serving.
         self.dead = False
 
+    @property
+    def closed(self) -> bool:
+        """A closed service accepts no stragglers, so a linger ends."""
+        return self.service._closed.is_set()
+
     def backlog(self) -> int:
         """Approximate in-flight request count (queue + batcher + executing)."""
         return self.queue.qsize() + len(self.batcher) + len(self.inflight)
+
+    def _pull(self, timeout: float) -> bool:
+        try:
+            ticket = self.queue.get(timeout=timeout) if timeout else self.queue.get_nowait()
+        except queue.Empty:
+            return False
+        self.batcher.add(ticket)
+        return True
+
+    def _deliver(self, finished: list) -> None:
+        """Resolve each ticket's future (once) and count it done."""
+        now = time.perf_counter()
+        for ticket, outcome, status in finished:
+            future = ticket._future
+            if future.done():
+                continue
+            if status:
+                ticket.span.end(status=status)
+                future.set_result(outcome)
+            else:
+                ticket.span.fail(outcome)
+                future.set_exception(outcome)
+            self.recorder.record_done(now - ticket.submitted_at, failed=not status)
 
 
 class SolverService:
@@ -359,7 +350,7 @@ class SolverService:
         # latency breakdown in ServiceMetrics (removed again at close).
         self._obs_hook = None
         if obs.active().enabled:
-            self._obs_hook = _stage_metrics_hook(self._metrics)
+            self._obs_hook = stage_metrics_hook(self._metrics)
             obs.active().add_finish_hook(self._obs_hook)
         self._closed = threading.Event()
         self._abort = threading.Event()
@@ -368,7 +359,7 @@ class SolverService:
         # slip a ticket into a queue its worker has already abandoned.
         # The dead flag of a crashed-out shard follows the same protocol.
         self._submit_lock = threading.Lock()
-        self._shards = [_Shard(i, self.config) for i in range(self.config.workers)]
+        self._shards = [_Shard(i, self) for i in range(self.config.workers)]
         for shard in self._shards:
             shard.thread = threading.Thread(
                 target=self._worker_main,
@@ -405,7 +396,7 @@ class SolverService:
         has crashed out of its restart budget.
         """
         policy = self.config.resilience
-        key, hardware = _resolve(request, self.config)
+        key, hardware = resolve_request(request, self.config)
         deadline_s = (
             request.deadline_s if request.deadline_s is not None else policy.deadline_s
         )
@@ -476,7 +467,7 @@ class SolverService:
             # a slot and close()/other shards' submitters stay live; the
             # timeout only bounds how often the closed flag is re-read.
             try:
-                shard.queue.put(ticket, timeout=_POLL_S)
+                shard.queue.put(ticket, timeout=POLL_S)
             except queue.Full:
                 continue
             if self._closed.is_set():
@@ -584,8 +575,7 @@ class SolverService:
                     "was in flight"
                 )
                 inflight, shard.inflight = shard.inflight, []
-                for ticket in inflight:
-                    self._fail_ticket(ticket, error)
+                shard._deliver([(ticket, error, None) for ticket in inflight])
                 shard.restarts += 1
                 if (
                     self._closed.is_set()
@@ -602,355 +592,18 @@ class SolverService:
             if self._abort.is_set():
                 self._fail_pending(shard)
                 return
-            if not len(batcher):
-                try:
-                    batcher.add(shard.queue.get(timeout=_POLL_S))
-                except queue.Empty:
-                    if self._closed.is_set():
-                        # Closed is flipped under the submit lock, so no
-                        # put can follow it — but one may have raced the
-                        # empty check above. Drain once more and only
-                        # exit if truly nothing is left.
-                        self._drain_queue(shard)
-                        if not len(batcher):
-                            return
-                    continue
-            self._drain_queue(shard)
-            self._serve_key(shard, batcher.next_key())
-
-    def _serve_key(self, shard: _Shard, key: PreparedKey) -> None:
-        """Execute (or fail) the pending group for one prepared key."""
-        breaker = self._breaker_for(shard, key)
-        if breaker is not None and not breaker.allow():
-            self._fail_key_group(
-                shard,
-                key,
-                CircuitOpenError(
-                    f"circuit breaker open for prepared solver {key.solver!r} "
-                    f"on matrix {key.matrix_digest[:12]}",
-                    retry_after_s=breaker.retry_after_s(),
-                ),
-            )
-            return
-        entry = self._entry_for(shard, key, breaker)
-        if entry is None:
-            return
-        if entry.coalescible and self.config.max_linger_s > 0.0:
-            self._linger(shard, key)
-        batch = self._expire(shard.batcher.take(key))
-        if batch:
-            shard.cache.credit_hits(len(batch) - 1)
-            self._execute(shard, entry, batch, breaker)
-
-    def _drain_queue(self, shard: _Shard) -> None:
-        # The batcher backlog is bounded like the queue: once the worker
-        # holds a full queue's worth it stops pulling, so ``queue_depth``
-        # genuinely limits in-flight work (at most ~2x queue_depth per
-        # shard between queue and batcher) and backpressure engages
-        # instead of the backlog growing without bound.
-        while len(shard.batcher) < self.config.queue_depth:
-            try:
-                shard.batcher.add(shard.queue.get_nowait())
-            except queue.Empty:
-                return
-
-    def _linger(self, shard: _Shard, key: PreparedKey) -> None:
-        """Hold a lone key's batch open briefly, hoping to coalesce stragglers.
-
-        Work-conserving: the wait lasts only while the batcher holds
-        nothing but ``key``, so a request for another key ends it. A
-        closed service accepts no stragglers, so :meth:`close` ends it
-        too (the wait runs in ``_POLL_S`` slices to notice).
-        """
-        batcher = shard.batcher
-        limit = min(self.config.max_batch_size, self.config.queue_depth)
-        deadline = time.perf_counter() + self.config.max_linger_s
-        while len(batcher) == batcher.pending_for(key) < limit:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0.0 or self._closed.is_set():
-                return
-            try:
-                batcher.add(shard.queue.get(timeout=min(remaining, _POLL_S)))
-            except queue.Empty:
+            if not len(batcher) and not shard._pull(POLL_S):
+                if self._closed.is_set():
+                    # Closed is flipped under the submit lock, so no put can
+                    # follow it — but one may have raced the empty check
+                    # above. Drain once more and only exit if truly nothing
+                    # is left.
+                    shard.drain()
+                    if not len(batcher):
+                        return
                 continue
-
-    def _breaker_for(self, shard: _Shard, key: PreparedKey) -> CircuitBreaker | None:
-        """The key's circuit breaker, created lazily (None when disabled)."""
-        policy = self.config.resilience
-        if policy.breaker_threshold < 1:
-            return None
-        with shard.breaker_lock:
-            breaker = shard.breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    policy.breaker_threshold,
-                    policy.breaker_reset_s,
-                    on_transition=self._metrics.record_breaker_transition,
-                )
-                shard.breakers[key] = breaker
-                prune_breakers(shard.breakers, shard.cache, keep=key)
-            return breaker
-
-    def _record_key_failure(
-        self, shard: _Shard, key: PreparedKey, breaker: CircuitBreaker | None
-    ) -> None:
-        """Count one failure against the key's breaker; trip → drop the entry.
-
-        Invalidating on trip makes the eventual half-open probe
-        re-prepare from scratch instead of re-trying a possibly corrupt
-        programmed macro.
-        """
-        if breaker is not None and breaker.record_failure():
-            shard.cache.invalidate(key)
-
-    def _entry_for(
-        self, shard: _Shard, key: PreparedKey, breaker: CircuitBreaker | None = None
-    ):
-        head = shard.batcher.peek(key)
-
-        def factory():
-            entry = prepare_entry(key, head.request.matrix, head.hardware)
-            self._metrics.record_prepare(entry.prepare_seconds)
-            if self.config.entry_transform is not None:
-                entry = self.config.entry_transform(entry)
-            tracer = obs.active()
-            if tracer.enabled:
-                # Retroactive: bounds come from the measured prepare time,
-                # so the untraced path performs no extra timing calls.
-                now = time.perf_counter()
-                tracer.record_span(
-                    "serve.prepare",
-                    parent=head.span,
-                    start_s=now - entry.prepare_seconds,
-                    end_s=now,
-                    attributes={
-                        "solver": key.solver,
-                        "digest": key.matrix_digest[:12],
-                    },
-                )
-            return entry
-
-        try:
-            return shard.cache.get_or_prepare(key, factory)
-        except Exception as exc:  # fail the whole group, keep the worker alive
-            self._record_key_failure(shard, key, breaker)
-            self._fail_key_group(shard, key, exc)
-            return None
-
-    def _expire(self, batch: list[SolveTicket]) -> list[SolveTicket]:
-        """Fail tickets whose deadline passed; return the live remainder."""
-        live = []
-        now = time.perf_counter()
-        for ticket in batch:
-            if ticket.deadline_at is not None and now >= ticket.deadline_at:
-                self._metrics.record_deadline_miss()
-                self._fail_ticket(
-                    ticket,
-                    DeadlineExceededError(
-                        f"deadline of {ticket.deadline_s:.3f}s expired "
-                        "before the request reached execution"
-                    ),
-                    now,
-                )
-            else:
-                live.append(ticket)
-        return live
-
-    def _execute(
-        self,
-        shard: _Shard,
-        entry,
-        batch: list[SolveTicket],
-        breaker: CircuitBreaker | None = None,
-    ) -> None:
-        shard.inflight = batch
-        self._metrics.record_batch(len(batch))
-        start = time.perf_counter()
-        tracer = obs.active()
-        batch_span = obs.NOOP_SPAN
-        if tracer.enabled:
-            # Queue-wait stages are retroactive (submit stamp → now), so
-            # the untraced submit path stays untouched; the batch span
-            # links its member requests by span id.
-            for ticket in batch:
-                tracer.record_span(
-                    "serve.queue",
-                    parent=ticket.span,
-                    start_s=ticket.submitted_at,
-                    end_s=start,
-                )
-            batch_span = tracer.start_span(
-                "serve.batch",
-                attributes={
-                    "size": len(batch),
-                    "solver": entry.key.solver,
-                    "shard": shard.index,
-                    "coalescible": entry.coalescible,
-                    "members": [t.span.span_id for t in batch],
-                },
-                start_s=start,
-            )
-        try:
-            if tracer.enabled:
-                # Activation (not a `with Span`): the kernel span nests
-                # under the batch, which ends later, after assembly.
-                with tracer.use_span(batch_span):
-                    results = execute_batch(
-                        entry,
-                        [t.request.b for t in batch],
-                        [t.request.seed for t in batch],
-                        lean=self.config.lean_results,
-                    )
-            else:
-                results = execute_batch(
-                    entry,
-                    [t.request.b for t in batch],
-                    [t.request.seed for t in batch],
-                    lean=self.config.lean_results,
-                )
-        except Exception as exc:
-            batch_span.fail(exc)
-            self._isolate(shard, entry, batch, breaker)
-        else:
-            solved = time.perf_counter()
-            now = time.perf_counter()
-            for ticket, result in zip(batch, results):
-                self._finish_ticket(ticket, result, now)
-            if breaker is not None:
-                breaker.record_success()
-            if tracer.enabled:
-                for ticket, result in zip(batch, results):
-                    tracer.record_span(
-                        "serve.execute",
-                        parent=ticket.span,
-                        start_s=start,
-                        end_s=solved,
-                        attributes={
-                            "batch_span": batch_span.span_id,
-                            "analog_time_s": float(
-                                getattr(result, "analog_time_s", 0.0)
-                            ),
-                        },
-                    )
-                tracer.record_span(
-                    "serve.assemble",
-                    parent=batch_span,
-                    start_s=solved,
-                    end_s=time.perf_counter(),
-                )
-                batch_span.end()
-        # Normal-path bookkeeping only: on a worker crash (BaseException)
-        # the inflight list must survive for _worker_main's rescue.
-        per_request = (time.perf_counter() - start) / len(batch)
-        shard.service_ewma_s = (
-            per_request
-            if shard.service_ewma_s == 0.0
-            else 0.8 * shard.service_ewma_s + 0.2 * per_request
-        )
-        shard.inflight = []
-
-    def _isolate(
-        self,
-        shard: _Shard,
-        entry,
-        tickets: list[SolveTicket],
-        breaker: CircuitBreaker | None,
-    ) -> None:
-        """Bisect a failed batch so only the culprit request(s) fail.
-
-        Every re-execution restarts from each request's own seed through
-        the same canonical kernel, so surviving results are bit-identical
-        to the sequential reference by construction — isolation can
-        never perturb a success, only rescue it.
-        """
-        if len(tickets) == 1:
-            ticket = tickets[0]
-            self._metrics.record_retry()
-            try:
-                result = execute_batch(
-                    entry,
-                    [ticket.request.b],
-                    [ticket.request.seed],
-                    lean=self.config.lean_results,
-                )[0]
-            except Exception as exc:
-                self._degrade_or_fail(shard, entry, ticket, exc, breaker)
-            else:
-                self._finish_ticket(ticket, result)
-                if breaker is not None:
-                    breaker.record_success()
-            return
-        mid = len(tickets) // 2
-        for half in (tickets[:mid], tickets[mid:]):
-            self._metrics.record_retry()
-            try:
-                results = execute_batch(
-                    entry,
-                    [t.request.b for t in half],
-                    [t.request.seed for t in half],
-                    lean=self.config.lean_results,
-                )
-            except Exception:
-                self._isolate(shard, entry, half, breaker)
-            else:
-                now = time.perf_counter()
-                for ticket, result in zip(half, results):
-                    self._finish_ticket(ticket, result, now)
-                if breaker is not None:
-                    breaker.record_success()
-
-    def _degrade_or_fail(
-        self,
-        shard: _Shard,
-        entry,
-        ticket: SolveTicket,
-        exc: Exception,
-        breaker: CircuitBreaker | None,
-    ) -> None:
-        """Bottom of the ladder: digital fallback if allowed, else fail."""
-        self._record_key_failure(shard, entry.key, breaker)
-        policy = self.config.resilience
-        if policy.fallback == "digital" and isinstance(exc, DEGRADABLE_ERRORS):
-            try:
-                result = digital_fallback(
-                    ticket.request, lean=self.config.lean_results
-                )
-            except Exception as fallback_exc:
-                self._fail_ticket(ticket, fallback_exc)
-                return
-            self._metrics.record_degraded()
-            self._finish_ticket(ticket, result)
-            return
-        self._fail_ticket(ticket, exc)
-
-    def _fail_key_group(self, shard: _Shard, key: PreparedKey, error) -> None:
-        """Fail every ticket pending for ``key`` with ``error``."""
-        while True:
-            group = shard.batcher.take(key)
-            if not group:
-                return
-            now = time.perf_counter()
-            for ticket in group:
-                self._fail_ticket(ticket, error, now)
-
-    def _finish_ticket(self, ticket: SolveTicket, result, now=None) -> None:
-        if ticket._future.done():
-            return
-        ticket._future.set_result(result)
-        ticket.span.end()
-        self._metrics.record_done(
-            (now if now is not None else time.perf_counter()) - ticket.submitted_at
-        )
-
-    def _fail_ticket(self, ticket: SolveTicket, error, now=None) -> None:
-        if ticket._future.done():
-            return
-        ticket._future.set_exception(error)
-        ticket.span.fail(error)
-        self._metrics.record_done(
-            (now if now is not None else time.perf_counter()) - ticket.submitted_at,
-            failed=True,
-        )
+            shard.drain()
+            shard.step()
 
     def _fail_pending(self, shard: _Shard, error=None) -> None:
         if error is None:
@@ -965,9 +618,7 @@ class SolverService:
             pending = shard.batcher.drain()
             if not pending and shard.queue.empty():
                 return
-            now = time.perf_counter()
-            for ticket in pending:
-                self._fail_ticket(ticket, error, now)
+            shard._deliver([(ticket, error, None) for ticket in pending])
 
 
 def run_sequential(
@@ -990,7 +641,7 @@ def run_sequential(
     recorder = MetricsRecorder()
     results: list[SolveResult] = []
     for request in requests:
-        key, hardware = _resolve(request, config)
+        key, hardware = resolve_request(request, config)
         recorder.record_submit()
         start = time.perf_counter()
 

@@ -16,6 +16,7 @@ The load-bearing guarantees, mirroring the acceptance criteria:
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
@@ -257,6 +258,31 @@ class TestNetServing:
                 metrics = client.metrics()
         assert metrics.deadline_misses == len(requests)
 
+    def test_wall_clock_step_neither_expires_nor_extends_a_deadline(
+        self, monkeypatch
+    ):
+        """Deadlines are stamped and checked on ``perf_counter``: a worker
+        whose wall clock reads an hour ahead of the server's still
+        answers a request stamped 60 s out."""
+        import os
+        import time
+
+        server_pid = os.getpid()
+        wall = time.time
+        # Inherited by the forked worker, where it steps 1 h forward.
+        monkeypatch.setattr(
+            time, "time", lambda: wall() + (0.0 if os.getpid() == server_pid else 3600.0)
+        )
+        requests = _requests(n=2, unique=1, deadline_s=60.0)
+        with NetServer(_server_config(workers=1)) as server:
+            host, port = server.address
+            with NetClient(host, port) as client:
+                for request in requests:
+                    result = client.submit_request(request).result(60.0)
+                    assert isinstance(result, LeanSolveResult)
+                metrics = client.metrics()
+        assert metrics.deadline_misses == 0
+
     def test_quota_enforced_per_tenant(self):
         quota = QuotaPolicy(rate_per_s=0.001, burst=2)
         with NetServer(_server_config(workers=1, quota=quota)) as server:
@@ -444,61 +470,72 @@ class TestNetChaos:
 class TestWorkerState:
     """The worker's per-process state, driven in-process (no fork)."""
 
-    @staticmethod
-    def _serve(state, item):
-        import queue
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads /proc/<pid>/status"
+    )
+    def test_worker_exits_when_its_front_end_dies(self):
+        """A worker whose front-end process was SIGKILLed exits on its next
+        idle poll instead of polling an orphaned queue for ever."""
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
 
-        from repro.serve.net.workers import _admit, _serve_key
+        import repro
 
-        responses = queue.Queue()
-        _admit(state, item, responses)
-        _serve_key(state, state.batcher.next_key(), queue.Queue(), responses)
-
-    def test_breaker_map_stays_bounded_by_the_cache(self):
-        """3 x capacity distinct keys through one worker: closed breakers
-        of evicted keys are dropped, the open one is kept."""
-        from repro.serve import matrix_digest
-        from repro.serve.net.workers import WorkItem, _WorkerState
-
-        capacity = 4
-        state = _WorkerState(
-            ServiceConfig(
-                cache_capacity=capacity,
-                max_linger_s=0.0,
-                resilience=ResiliencePolicy(breaker_threshold=1, breaker_reset_s=60.0),
-            )
+        script = (
+            "import time\n"
+            "from repro.serve import ServiceConfig\n"
+            "from repro.serve.net.workers import ProcessWorkerPool\n"
+            "pool = ProcessWorkerPool(ServiceConfig(workers=1))\n"
+            "print(pool._shards[0].process.pid, flush=True)\n"
+            "time.sleep(120)\n"
         )
-        zeros = np.zeros((6, 6))  # cannot be normalized: prepare fails
-        self._serve(state, WorkItem(0, matrix_digest(zeros), np.ones(6), matrix=zeros))
-        for i in range(3 * capacity):
-            matrix = np.eye(6) + 0.1 * np.random.default_rng(i).random((6, 6))
-            self._serve(
-                state, WorkItem(i + 1, matrix_digest(matrix), np.ones(6), matrix=matrix)
-            )
-        states = [breaker.state for breaker in state.breakers.values()]
-        assert states.count("open") == 1
-        non_closed = sum(s != "closed" for s in states)
-        assert len(state.breakers) <= capacity + non_closed
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        front = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, env=env, text=True
+        )
+        try:
+            worker = int(front.stdout.readline())
+        finally:
+            front.kill()
+            front.wait(timeout=30)
+            front.stdout.close()
+
+        def state():
+            try:
+                with open(f"/proc/{worker}/status") as status:
+                    for line in status:
+                        if line.startswith("State:"):
+                            return line.split()[1]
+            except FileNotFoundError:
+                return None
+
+        deadline = time.monotonic() + 2.0
+        while state() not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert state() in (None, "Z"), f"orphaned worker {worker} still running"
 
     def test_hot_digest_survives_cold_inserts(self):
         """The matrix stash is LRU: naming a resident digest refreshes it."""
         import queue
 
-        from repro.serve.net.workers import WorkItem, _admit, _WorkerState
+        from repro.serve.net.workers import WorkItem, _Worker
 
-        state = _WorkerState(ServiceConfig())
         responses = queue.Queue()
+        worker = _Worker(ServiceConfig(), queue.Queue(), responses)
         hot = np.eye(4)
-        _admit(state, WorkItem(0, "hot", np.ones(4), matrix=hot), responses)
-        for i in range(state.matrix_capacity + 1):
-            _admit(state, WorkItem(2 * i + 1, f"cold{i}", np.ones(4), matrix=hot), responses)
-            _admit(state, WorkItem(2 * i + 2, "hot", np.ones(4)), responses)
-        assert "hot" in state.matrices
-        assert "cold0" not in state.matrices
-        assert len(state.matrices) == state.matrix_capacity
+        worker._admit(WorkItem(0, "hot", np.ones(4), matrix=hot))
+        for i in range(worker.matrix_capacity + 1):
+            worker._admit(WorkItem(2 * i + 1, f"cold{i}", np.ones(4), matrix=hot))
+            worker._admit(WorkItem(2 * i + 2, "hot", np.ones(4)))
+        assert "hot" in worker.matrices
+        assert "cold0" not in worker.matrices
+        assert len(worker.matrices) == worker.matrix_capacity
         # A re-sent payload refreshes recency too.
-        _admit(state, WorkItem(-1, "cold5", np.ones(4), matrix=hot), responses)
-        assert next(reversed(state.matrices)) == "cold5"
+        worker._admit(WorkItem(-1, "cold5", np.ones(4), matrix=hot))
+        assert next(reversed(worker.matrices)) == "cold5"
         assert responses.empty()  # nothing was refused
 
 
@@ -941,16 +978,10 @@ class TestProcessTierRowDtypes:
         import queue
         from multiprocessing.reduction import ForkingPickler
 
-        from repro.serve.net.workers import (
-            WorkItem,
-            WorkReplies,
-            _drain,
-            _serve_key,
-            _WorkerState,
-        )
+        from repro.serve.net.workers import WorkItem, WorkReplies, _Worker
 
-        state = _WorkerState(config)
         inbox, responses = queue.Queue(), queue.Queue()
+        worker = _Worker(config, inbox, responses)
         inbox.put(
             [
                 WorkItem(
@@ -965,10 +996,10 @@ class TestProcessTierRowDtypes:
                 for i, request in enumerate(requests)
             ]
         )
-        _drain(state, inbox, responses)
-        assert len(state.batcher) == len(requests)  # one message, all admitted
-        _serve_key(state, state.batcher.next_key(), inbox, responses)
-        assert not len(state.batcher)
+        worker.drain()
+        assert len(worker.batcher) == len(requests)  # one message, all admitted
+        worker.step()
+        assert not len(worker.batcher)
         replies = ForkingPickler.loads(ForkingPickler.dumps(responses.get_nowait()))
         assert responses.empty()  # the executed batch answers as one message
         assert isinstance(replies, WorkReplies)

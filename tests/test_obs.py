@@ -480,11 +480,26 @@ class TestNetTracing:
             assert names[0] == "client.request"
             assert "server.request" in names
             assert "shard.request" in names
-            assert "shard.solve" in names
+            assert "serve.execute" in names
             assert len({node.trace_id for node in root.walk()}) == 1
             pids.update(node.record["pid"] for node in root.walk())
         # the tree genuinely crosses process boundaries
         assert len(pids) >= 3
+
+    def test_traced_server_reports_worker_stages(self, tmp_path):
+        """Stage durations measured in the shard workers reach the
+        server's metrics with each response message."""
+        requests = mixed_traffic(6, unique_matrices=2, sizes=(12,), seed=5)
+        service = ServiceConfig(workers=1, max_batch_size=8, trace_dir=str(tmp_path))
+        with NetServer(NetServerConfig(service=service)) as server:
+            host, port = server.address
+            with NetClient(host, port) as client:
+                outcomes = drive_network(client, requests, max_rounds=3)
+                metrics = client.metrics()
+        obs.disable()
+        assert not any(isinstance(o, Exception) for o in outcomes)
+        assert {"queue", "execute", "kernel"} <= set(metrics.stages)
+        assert metrics.stages["execute"]["count"] == len(requests)
 
     def test_killed_worker_spans_failed_not_lost(self, tmp_path, monkeypatch):
         """SIGKILL a shard worker mid-storm: surviving requests' span
@@ -527,7 +542,7 @@ class TestNetTracing:
             for root in report.build_trees(spans)
             if root.name == "client.request"
             and root.status == "ok"
-            and any(node.name == "shard.solve" for node in root.walk())
+            and any(node.name == "serve.execute" for node in root.walk())
         ]
         successes = sum(1 for o in outcomes if not isinstance(o, Exception))
         assert successes >= 1

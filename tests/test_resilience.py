@@ -22,17 +22,32 @@ The load-bearing guarantees:
   crashed-out shard fails fast instead of hanging;
 - **no hung tickets** — ``close(wait=False)`` under a deep backlog and
   ``solve_all`` hitting a mid-list rejection both resolve every ticket.
+
+Deadlines, breakers, isolation and the fallback ladder run on both
+serving tiers through the ``serve`` fixture: the thread tier, and the
+process tier (a :class:`~repro.serve.net.NetServer` behind a
+:class:`~repro.serve.net.NetClient`) whose shard workers run as threads
+of this process, so test solver kinds that block on a
+:class:`threading.Event` drive the same engine a worker process runs.
+Each case asserts the same ``retries``, ``breaker_transitions``,
+``degraded`` and ``deadline_misses`` on both tiers. One admission
+difference stays: an open breaker raises :class:`CircuitOpenError` at
+submit on the thread tier, while on the process tier the shard answers
+the request with it.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.solution import LeanSolveResult
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -54,6 +69,7 @@ from repro.serve import (
     digital_fallback,
     run_sequential,
 )
+from repro.serve.net import NetClient, NetServer, NetServerConfig, workers
 from repro.testing import ChaosPlan, chaos_entry_transform, rhs_tag
 from repro.workloads.matrices import random_vector, wishart_matrix
 from repro.workloads.traffic import mixed_traffic
@@ -71,6 +87,140 @@ def _identical(a, b) -> bool:
     return np.array_equal(a.x, b.x) and a.relative_error == b.relative_error
 
 
+def _counts(metrics) -> dict:
+    """The counts the shard engine makes, which both tiers must agree on."""
+    return {
+        "retries": metrics.retries,
+        "breaker_transitions": metrics.breaker_transitions,
+        "degraded": metrics.degraded,
+        "deadline_misses": metrics.deadline_misses,
+    }
+
+
+def _expected(retries=0, breaker_transitions=0, degraded=0, deadline_misses=0):
+    return {
+        "retries": retries,
+        "breaker_transitions": breaker_transitions,
+        "degraded": degraded,
+        "deadline_misses": deadline_misses,
+    }
+
+
+class _ThreadTier(SolverService):
+    """The thread tier, with its first shard's engine at hand."""
+
+    @property
+    def engine(self):
+        return self._shards[0]
+
+
+class _ThreadWorkers:
+    """A multiprocessing context whose worker processes are threads here."""
+
+    class Queue(queue.Queue):
+        def cancel_join_thread(self) -> None:
+            pass
+
+        def close(self) -> None:
+            pass
+
+    def __init__(self):
+        self.workers = []
+
+    def Process(self, target, args, name, daemon):
+        worker = workers._Worker(*args)
+        self.workers.append(worker)
+
+        def run():
+            try:
+                worker.run()
+            except SystemExit:  # the close sentinel ends a worker this way
+                pass
+
+        return threading.Thread(target=run, name=name, daemon=daemon)
+
+
+class _ProcessTier:
+    """The process tier behind a client, its shard workers run as threads."""
+
+    def __init__(self, config: ServiceConfig, monkeypatch):
+        self.context = _ThreadWorkers()
+        monkeypatch.setattr(
+            workers,
+            "multiprocessing",
+            SimpleNamespace(get_context=lambda method: self.context),
+        )
+        self.server = NetServer(NetServerConfig(service=config)).start()
+        self.client = NetClient(*self.server.address, timeout_s=60.0)
+
+    @property
+    def engine(self):
+        """The engine of the first shard's current worker."""
+        return self.context.workers[0]
+
+    def submit(self, matrix, b, **kwargs):
+        return self.client.submit(matrix, b, **kwargs)
+
+    def submit_request(self, request):
+        return self.client.submit_request(request)
+
+    def solve_all(self, requests):
+        return self.client.solve_all(requests)
+
+    def metrics(self):
+        return self.client.metrics()
+
+    def cached_solvers(self):
+        return self.engine.cache.keys()
+
+    def close(self) -> None:
+        self.client.close()
+        self.server.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+@pytest.fixture(params=["thread", "process"])
+def serve(request, monkeypatch):
+    """Start a service of the parametrized tier: ``serve(config)``."""
+
+    def start(config: ServiceConfig):
+        if request.param == "thread":
+            return _ThreadTier(config)
+        return _ProcessTier(config, monkeypatch)
+
+    start.tier = request.param
+    return start
+
+
+def _wait_submitted(service, count: int) -> None:
+    """Wait until ``count`` submits reached the shards' queues.
+
+    A thread-tier submit is queued when it returns; a process-tier one
+    once the server counted it, which the metrics round trip observes
+    after the outbox flush that put it on the worker's queue.
+    """
+    deadline = time.monotonic() + 30.0
+    while service.metrics().requests_submitted < count:
+        assert time.monotonic() < deadline, "submits never reached the shard"
+        time.sleep(0.01)
+
+
+def _bisection_retries(poisoned: list) -> int:
+    """Re-executions isolating the poisoned members of one failed batch."""
+    if len(poisoned) == 1:
+        return 1
+    mid = len(poisoned) // 2
+    return sum(
+        1 + (_bisection_retries(half) if any(half) else 0)
+        for half in (poisoned[:mid], poisoned[mid:])
+    )
+
+
 @pytest.fixture
 def slow_kind():
     """A solver kind whose prepare blocks until released (deterministic
@@ -83,10 +233,9 @@ def slow_kind():
             self.n = n
 
         def solve(self, b, rng=None):
-            class _R:
-                x = np.zeros(self.n)
-                relative_error = 0.0
-            return _R()
+            return LeanSolveResult(
+                x=np.zeros(self.n), reference=np.ones(self.n), solver="slow-test"
+            )
 
         def solve_many(self, rhs_batch, rng=None, *, lean=False):
             return tuple(self.solve(b, rng) for b in rhs_batch)
@@ -121,11 +270,9 @@ def flaky_kind():
         def solve(self, b, rng=None):
             if fail.is_set():
                 raise SolverError("flaky-test: injected solve failure")
-
-            class _R:
-                x = np.zeros(self.n)
-                relative_error = 0.0
-            return _R()
+            return LeanSolveResult(
+                x=np.zeros(self.n), reference=np.ones(self.n), solver="flaky-test"
+            )
 
         def solve_many(self, rhs_batch, rng=None, *, lean=False):
             return tuple(self.solve(b, rng) for b in rhs_batch)
@@ -265,10 +412,10 @@ class TestDeadlines:
         with pytest.raises(ValidationError):
             SolveRequest(matrix=matrix, b=np.ones(8), deadline_s=-1.0)
 
-    def test_expired_request_fails_fast(self, slow_kind):
+    def test_expired_request_fails_fast(self, slow_kind, serve):
         started, release = slow_kind
         config = ServiceConfig(workers=1, max_linger_s=0.0)
-        with SolverService(config) as service:
+        with serve(config) as service:
             blocker = service.submit(
                 wishart_matrix(8, rng=0), np.ones(8), solver="slow-test"
             )
@@ -281,17 +428,17 @@ class TestDeadlines:
             assert isinstance(doomed.exception(timeout=30), DeadlineExceededError)
             blocker.result(timeout=30)
             metrics = service.metrics()
-        assert metrics.deadline_misses == 1
+        assert _counts(metrics) == _expected(deadline_misses=1)
         assert metrics.requests_failed >= 1
 
-    def test_policy_default_deadline_applies(self, slow_kind):
+    def test_policy_default_deadline_applies(self, slow_kind, serve):
         started, release = slow_kind
         config = ServiceConfig(
             workers=1,
             max_linger_s=0.0,
             resilience=ResiliencePolicy(deadline_s=0.001),
         )
-        with SolverService(config) as service:
+        with serve(config) as service:
             # The blocker's generous per-request deadline overrides the
             # policy default; the defaulted request expires behind it.
             blocker = service.submit(
@@ -300,19 +447,22 @@ class TestDeadlines:
             )
             assert started.wait(timeout=30)
             doomed = service.submit(wishart_matrix(8, rng=1), np.ones(8))
-            assert doomed.deadline_s == 0.001
-            assert blocker.deadline_s == 60.0
+            if serve.tier == "thread":  # the process tier applies it server-side
+                assert doomed.deadline_s == 0.001
+                assert blocker.deadline_s == 60.0
             time.sleep(0.05)
             release.set()
             assert isinstance(doomed.exception(timeout=30), DeadlineExceededError)
             blocker.result(timeout=30)
+            metrics = service.metrics()
+        assert _counts(metrics) == _expected(deadline_misses=1)
 
-    def test_generous_deadline_does_not_interfere(self):
+    def test_generous_deadline_does_not_interfere(self, serve):
         requests = mixed_traffic(
             8, unique_matrices=2, sizes=(8, 12), deadline_s=60.0, seed=4
         )
         reference, _ = run_sequential(requests, ServiceConfig(workers=1))
-        with SolverService(ServiceConfig(workers=2)) as service:
+        with serve(ServiceConfig(workers=2)) as service:
             results = service.solve_all(requests)
             metrics = service.metrics()
         for a, b in zip(reference, results):
@@ -376,7 +526,7 @@ class TestLoadShedding:
 
 
 class TestBreakerEndToEnd:
-    def test_trip_invalidate_probe_recover(self, flaky_kind):
+    def test_trip_invalidate_probe_recover(self, flaky_kind, serve):
         fail = flaky_kind
         config = ServiceConfig(
             workers=1,
@@ -384,7 +534,7 @@ class TestBreakerEndToEnd:
             resilience=ResiliencePolicy(breaker_threshold=2, breaker_reset_s=0.1),
         )
         matrix = wishart_matrix(8, rng=0)
-        with SolverService(config) as service:
+        with serve(config) as service:
             # Healthy prepare + solve populates the cache.
             service.submit(matrix, np.ones(8), solver="flaky-test").result(timeout=30)
             assert len(service.cached_solvers()) == 1
@@ -394,11 +544,19 @@ class TestBreakerEndToEnd:
                 ticket = service.submit(matrix, np.ones(8), solver="flaky-test")
                 assert isinstance(ticket.exception(timeout=30), SolverError)
 
-            # Tripped: submit fails fast without queueing, entry evicted.
-            with pytest.raises(CircuitOpenError) as info:
-                service.submit(matrix, np.ones(8), solver="flaky-test")
-            assert info.value.retry_after_s > 0.0
-            assert info.value.retryable
+            # Tripped: fails fast without executing, entry evicted. The
+            # thread tier refuses at submit; the process tier's shard
+            # answers with the same typed error.
+            if serve.tier == "thread":
+                with pytest.raises(CircuitOpenError) as info:
+                    service.submit(matrix, np.ones(8), solver="flaky-test")
+                error = info.value
+            else:
+                ticket = service.submit(matrix, np.ones(8), solver="flaky-test")
+                error = ticket.exception(timeout=30)
+                assert isinstance(error, CircuitOpenError)
+            assert error.retry_after_s > 0.0
+            assert error.retryable
             assert len(service.cached_solvers()) == 0
 
             # Recovery: heal the solver, wait out the reset window, and
@@ -410,13 +568,15 @@ class TestBreakerEndToEnd:
             metrics = service.metrics()
         assert metrics.cache.misses == 2  # initial prepare + post-trip re-prepare
         assert metrics.cache.evictions >= 1
-        # closed -> open -> half_open -> closed
-        assert metrics.breaker_transitions == 3
-        assert metrics.requests_rejected >= 1
+        # closed -> open -> half_open -> closed, after one retry per failure
+        assert _counts(metrics) == _expected(retries=2, breaker_transitions=3)
+        if serve.tier == "thread":
+            assert metrics.requests_rejected >= 1
 
-    def test_breaker_map_stays_bounded_by_the_cache(self, flaky_kind):
+    def test_breaker_map_stays_bounded_by_the_cache(self, flaky_kind, serve):
         """3 x capacity distinct keys through one shard: closed breakers of
-        evicted keys are dropped, the open one is kept."""
+        evicted keys are dropped, the open one (tripped by a failed
+        preparation) is kept."""
         capacity = 4
         config = ServiceConfig(
             workers=1,
@@ -425,8 +585,7 @@ class TestBreakerEndToEnd:
             resilience=ResiliencePolicy(breaker_threshold=1, breaker_reset_s=60.0),
         )
         flaky = wishart_matrix(6, rng=0)
-        with SolverService(config) as service:
-            service.submit(flaky, np.ones(6), solver="flaky-test").result(timeout=30)
+        with serve(config) as service:
             flaky_kind.set()
             failed = service.submit(flaky, np.ones(6), solver="flaky-test")
             assert isinstance(failed.exception(timeout=30), SolverError)
@@ -434,13 +593,15 @@ class TestBreakerEndToEnd:
             for i in range(3 * capacity):
                 matrix = wishart_matrix(6, rng=100 + i)
                 service.submit(matrix, np.ones(6)).result(timeout=30)
-            breakers = dict(service._shards[0].breakers)
+            breakers = dict(service.engine.breakers)
+            metrics = service.metrics()
         states = [breaker.state for breaker in breakers.values()]
         assert states.count("open") == 1
         non_closed = sum(state != "closed" for state in states)
         assert len(breakers) <= capacity + non_closed
+        assert _counts(metrics) == _expected(breaker_transitions=1)
 
-    def test_breaker_disabled_never_rejects(self, flaky_kind):
+    def test_breaker_disabled_never_rejects(self, flaky_kind, serve):
         fail = flaky_kind
         config = ServiceConfig(
             workers=1,
@@ -448,14 +609,14 @@ class TestBreakerEndToEnd:
             resilience=ResiliencePolicy(breaker_threshold=0),
         )
         matrix = wishart_matrix(8, rng=0)
-        with SolverService(config) as service:
+        with serve(config) as service:
             service.submit(matrix, np.ones(8), solver="flaky-test").result(timeout=30)
             fail.set()
             for _ in range(8):  # far past any default threshold
                 ticket = service.submit(matrix, np.ones(8), solver="flaky-test")
                 assert isinstance(ticket.exception(timeout=30), SolverError)
             metrics = service.metrics()
-        assert metrics.breaker_transitions == 0
+        assert _counts(metrics) == _expected(retries=8)
         assert metrics.requests_rejected == 0
 
 
@@ -475,7 +636,8 @@ def _plan_poisoning_some(tags, rate, kind="fail", lo=1):
 
 
 class TestIsolation:
-    def test_one_poisoned_request_fails_alone(self):
+    def test_one_poisoned_request_fails_alone(self, slow_kind, serve):
+        started, release = slow_kind
         matrix = wishart_matrix(12, rng=0)
         bs = [random_vector(12, rng=i) for i in range(10)]
         requests = [
@@ -494,8 +656,17 @@ class TestIsolation:
             entry_transform=chaos_entry_transform(plan),
         )
         reference, _ = run_sequential(requests, ServiceConfig(workers=1))
-        with SolverService(config) as service:
+        with serve(config) as service:
+            # Wedge the shard so all ten requests queue up and execute as
+            # one batch of ten, whatever the timing.
+            blocker = service.submit(
+                wishart_matrix(8, rng=1), np.ones(8), solver="slow-test"
+            )
+            assert started.wait(timeout=30)
             tickets = [service.submit_request(r) for r in requests]
+            _wait_submitted(service, len(requests) + 1)
+            release.set()
+            blocker.result(timeout=60)
             outcomes = [t.exception(timeout=60) for t in tickets]
             metrics = service.metrics()
         for i, (ticket, outcome) in enumerate(zip(tickets, outcomes)):
@@ -504,12 +675,13 @@ class TestIsolation:
             else:
                 assert outcome is None, (i, outcome)
                 assert _identical(ticket.result(), reference[i]), i
-        # Every failing execution went through at least one bisection step.
-        assert metrics.retries >= 1
+        assert metrics.batch_size_histogram == {1: 1, len(bs): 1}
+        retries = _bisection_retries([i in poisoned for i in range(len(bs))])
+        assert _counts(metrics) == _expected(retries=retries)
         assert metrics.requests_failed == len(poisoned)
-        assert metrics.requests_completed == len(bs) - len(poisoned)
+        assert metrics.requests_completed == len(bs) - len(poisoned) + 1
 
-    def test_mixed_traffic_survivors_bit_identical(self):
+    def test_mixed_traffic_survivors_bit_identical(self, serve):
         requests = mixed_traffic(24, unique_matrices=3, sizes=(8, 12), seed=11)
         plan = _plan_poisoning_some(
             [rhs_tag(r.b) for r in requests], rate=0.25, lo=2
@@ -521,9 +693,12 @@ class TestIsolation:
             entry_transform=chaos_entry_transform(plan),
         )
         reference, _ = run_sequential(requests, ServiceConfig(workers=1))
-        with SolverService(config) as service:
+        with serve(config) as service:
             tickets = [service.submit_request(r) for r in requests]
             outcomes = [t.exception(timeout=60) for t in tickets]
+            metrics = service.metrics()
+        # Retries depend on how batches formed; the other counts do not.
+        assert _counts(metrics) == _expected(retries=metrics.retries)
         for i, (request, outcome) in enumerate(zip(requests, outcomes)):
             doomed = plan.decides(
                 "fail", plan.solve_failure_rate, rhs_tag(request.b)
@@ -555,7 +730,7 @@ class TestDigitalFallback:
         assert np.array_equal(lean.x, result.x)
         assert lean.operations == ()
 
-    def test_service_degrades_instead_of_failing(self):
+    def test_service_degrades_instead_of_failing(self, serve):
         matrix = wishart_matrix(10, rng=0)
         bs = [random_vector(10, rng=i) for i in range(5)]
         plan = ChaosPlan(seed=0, solve_failure_rate=1.0)  # every solve fails
@@ -564,7 +739,7 @@ class TestDigitalFallback:
             resilience=ResiliencePolicy(breaker_threshold=0, fallback="digital"),
             entry_transform=chaos_entry_transform(plan),
         )
-        with SolverService(config) as service:
+        with serve(config) as service:
             results = [
                 service.submit(matrix, b, seed=i).result(timeout=60)
                 for i, b in enumerate(bs)
@@ -575,10 +750,10 @@ class TestDigitalFallback:
             assert result.metadata["degraded"] is True
             assert result.relative_error == 0.0
             assert np.allclose(result.x, np.linalg.solve(matrix, b))
-        assert metrics.degraded == len(bs)
+        assert _counts(metrics) == _expected(retries=len(bs), degraded=len(bs))
         assert metrics.requests_failed == 0
 
-    def test_fallback_none_fails_as_before(self):
+    def test_fallback_none_fails_as_before(self, serve):
         matrix = wishart_matrix(10, rng=0)
         plan = ChaosPlan(seed=0, solve_failure_rate=1.0)
         config = ServiceConfig(
@@ -586,10 +761,10 @@ class TestDigitalFallback:
             resilience=ResiliencePolicy(breaker_threshold=0),
             entry_transform=chaos_entry_transform(plan),
         )
-        with SolverService(config) as service:
+        with serve(config) as service:
             ticket = service.submit(matrix, np.ones(10))
             assert isinstance(ticket.exception(timeout=60), SolverError)
-            assert service.metrics().degraded == 0
+            assert _counts(service.metrics()) == _expected(retries=1)
 
 
 # ----------------------------------------------------------------------

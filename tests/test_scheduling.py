@@ -6,9 +6,9 @@ key's request waiting, the batch goes out at once, and a linger already
 in progress ends when one arrives. A lone key still lingers, so a
 straggler can still coalesce.
 
-Each case drives one shard in-process, one loop step at a time: the
-thread tier through a :class:`SolverService` shard, the process tier
-through a worker's state with :class:`queue.Queue` plumbing. Requests
+Each case drives one shard engine in-process, one loop step at a time:
+the thread tier through a :class:`SolverService` shard, the process tier
+through a worker with :class:`queue.Queue` plumbing. Requests
 put together reach the process worker as one request message, the way
 the pool flushes a shard's outbox, and each executed batch must answer
 as one response message. The linger window is 5 s, so timing cannot
@@ -33,14 +33,7 @@ from repro.serve import (
     SolveTicket,
     matrix_digest,
 )
-from repro.serve.net.workers import (
-    WorkDone,
-    WorkItem,
-    WorkReplies,
-    _drain,
-    _serve_key,
-    _WorkerState,
-)
+from repro.serve.net.workers import WorkDone, WorkItem, WorkReplies, _Worker
 from repro.serve.service import _Shard, resolve_request
 
 LINGER_S = 5.0
@@ -64,7 +57,7 @@ class _ThreadTier:
     def __init__(self, max_batch_size: int):
         self.service = SolverService(_config(max_batch_size))
         # A shard of this service that no worker thread serves.
-        self.shard = _Shard(0, self.service.config)
+        self.shard = _Shard(0, self.service)
         self.tickets: list[SolveTicket] = []
 
     def request(self, matrix: np.ndarray) -> SolveTicket:
@@ -80,8 +73,8 @@ class _ThreadTier:
     def step(self) -> int:
         """One loop iteration: drain, serve the next key; returns answers."""
         before = self._answered()
-        self.service._drain_queue(self.shard)
-        self.service._serve_key(self.shard, self.shard.batcher.next_key())
+        self.shard.drain()
+        self.shard.step()
         return self._answered() - before
 
     def _answered(self) -> int:
@@ -97,12 +90,12 @@ class _ThreadTier:
 
 
 class _ProcessTier:
-    """One process worker's state, stepped in-process (no fork)."""
+    """One process worker, stepped in-process (no fork)."""
 
     def __init__(self, max_batch_size: int):
-        self.state = _WorkerState(_config(max_batch_size))
         self.requests: queue.Queue = queue.Queue()
         self.responses: queue.Queue = queue.Queue()
+        self.worker = _Worker(_config(max_batch_size), self.requests, self.responses)
         self.ids = itertools.count()
 
     def request(self, matrix: np.ndarray) -> WorkItem:
@@ -116,10 +109,8 @@ class _ProcessTier:
 
     def step(self) -> int:
         """One loop iteration: drain, serve the next key; returns answers."""
-        _drain(self.state, self.requests, self.responses)
-        _serve_key(
-            self.state, self.state.batcher.next_key(), self.requests, self.responses
-        )
+        self.worker.drain()
+        self.worker.step()
         messages = []
         while not self.responses.empty():
             messages.append(self.responses.get())
@@ -130,7 +121,7 @@ class _ProcessTier:
         return len(rows)
 
     def pending(self) -> int:
-        return len(self.state.batcher)
+        return len(self.worker.batcher)
 
     def close(self) -> None:
         pass
