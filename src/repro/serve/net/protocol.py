@@ -51,6 +51,8 @@ import numpy as np
 
 from repro.core.backend import canonical_dtype
 from repro.errors import WireProtocolError
+from repro.serve.shard import DEGRADED as STATUS_DEGRADED
+from repro.serve.shard import OK as STATUS_OK
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -80,10 +82,9 @@ MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
 
-# Typed response statuses. ``ok``/``degraded`` carry result blobs;
-# every other status carries a typed wire error payload.
-STATUS_OK = "ok"
-STATUS_DEGRADED = "degraded"
+# Typed response statuses. ``ok``/``degraded`` (the shard engine's
+# success statuses, imported above) carry result blobs; every other
+# status carries a typed wire error payload.
 STATUS_SHED = "shed"
 STATUS_OVERLOADED = "overloaded"
 STATUS_DEADLINE = "deadline"

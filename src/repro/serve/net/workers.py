@@ -66,7 +66,8 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from multiprocessing import parent_process
 from typing import Callable
 
 import numpy as np
@@ -85,9 +86,7 @@ from repro.serve.net.protocol import (
     STATUS_BREAKER_OPEN,
     STATUS_CLOSED,
     STATUS_DEADLINE,
-    STATUS_DEGRADED,
     STATUS_FAILED,
-    STATUS_OK,
     STATUS_SHARD_FAILED,
     STATUS_UNKNOWN_DIGEST,
 )
@@ -103,9 +102,6 @@ __all__ = [
     "WorkOutcome",
     "WorkReplies",
 ]
-
-#: Non-failure statuses (the outcome carries result arrays).
-_SUCCESS_STATUSES = (STATUS_OK, STATUS_DEGRADED)
 
 _ERROR_STATUS = {
     "DeadlineExceededError": STATUS_DEADLINE,
@@ -160,6 +156,8 @@ class WorkDone:
     #: Digital reference (always float64).
     reference: np.ndarray
     telemetry: dict
+    #: Not a field: the row carries result arrays.
+    ok = True
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,10 @@ class WorkFailed:
     id: int
     status: str
     error: dict
-    digest: str
+    #: The request's digest (read back on ``unknown-digest``).
+    digest: str = ""
+    #: Not a field: the row carries no result arrays.
+    ok = False
 
 
 @dataclass(frozen=True)
@@ -187,21 +188,8 @@ class WorkReplies:
     service_ewma_s: float
 
 
-@dataclass(frozen=True)
-class WorkOutcome:
-    """What the pool delivers to a completion callback."""
-
-    id: int
-    status: str
-    x: np.ndarray | None = None
-    reference: np.ndarray | None = None
-    telemetry: dict = field(default_factory=dict)
-    error: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the outcome carries result arrays."""
-        return self.status in _SUCCESS_STATUSES
+#: What the pool delivers to a completion callback: the response row.
+WorkOutcome = WorkDone | WorkFailed
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +232,11 @@ class _Worker(ShardEngine):
         #: digest → matrix, bounded LRU (evictions answer UnknownDigestError).
         self.matrices: OrderedDict[str, np.ndarray] = OrderedDict()
         self.matrix_capacity = max(64, 4 * config.cache_capacity)
-        #: The process that forked this worker; a change means it died.
-        self.parent = os.getppid()
+        #: The front end's pid, recorded by it before the fork (a front end
+        #: that died before this line ran is no longer the parent pid
+        #: here); a changed parent pid means the front end died.
+        parent = parent_process()
+        self.parent = os.getppid() if parent is None else parent.pid
 
     def run(self) -> None:
         """Serve until the close sentinel, or until the front end is gone."""
@@ -472,17 +463,17 @@ class ProcessWorkerPool:
     """Digest-sharded pool of worker processes.
 
     The network server submits with a completion callback; the shard's
-    pump thread invokes it with a :class:`WorkOutcome` once the worker
-    answers (or the shard dies). A submit appends its :class:`WorkItem`
-    to the shard's outbox, and the first item in an empty outbox
-    schedules one flush that puts the whole outbox on the request queue
-    as one message. Submitted on a running event loop (the server's),
-    the flush runs once the loop has run the callbacks it had ready, so
-    everything submitted to a shard in one loop iteration leaves
-    together; submitted from a plain thread, it runs at once. Results
-    come back on each shard's response queue, one :class:`WorkReplies`
-    message per executed batch. Thread-safe; one pump thread per shard
-    incarnation.
+    pump thread invokes it with the request's :class:`WorkDone` or
+    :class:`WorkFailed` row once the worker answers (or the shard dies).
+    A submit appends its :class:`WorkItem` to the shard's outbox, and the
+    first item in an empty outbox schedules one flush that puts the whole
+    outbox on the request queue as one message. Submitted on a running
+    event loop (the server's), the flush runs once the loop has run the
+    callbacks it had ready, so everything submitted to a shard in one
+    loop iteration leaves together; submitted from a plain thread, it
+    runs at once. Results come back on each shard's response queue, one
+    :class:`WorkReplies` message per executed batch. Thread-safe; one
+    pump thread per shard incarnation.
     """
 
     def __init__(self, config: ServiceConfig, recorder: MetricsRecorder | None = None):
@@ -723,20 +714,10 @@ class ProcessWorkerPool:
                 if row.status == STATUS_UNKNOWN_DIGEST:
                     shard.known_digests.discard(row.digest)
         for row, entry in zip(msg.rows, pending):
-            if isinstance(row, WorkDone):
-                outcome = WorkOutcome(
-                    id=row.id,
-                    status=row.status,
-                    x=row.x,
-                    reference=row.reference,
-                    telemetry=row.telemetry,
-                )
-            else:
-                outcome = WorkOutcome(id=row.id, status=row.status, error=row.error)
             if entry is None:  # pragma: no cover - defensive (stale response)
                 continue
-            self.recorder.record_done(now - entry.submitted_at, failed=not outcome.ok)
-            entry.callback(outcome)
+            self.recorder.record_done(now - entry.submitted_at, failed=not row.ok)
+            entry.callback(row)
 
     def _handle_death(self, shard: _ProcShard, generation: int) -> None:
         """A worker incarnation died: deliver stragglers, fail the rest."""
@@ -788,6 +769,4 @@ class ProcessWorkerPool:
         now = time.perf_counter()
         for request_id, entry in pending.items():
             self.recorder.record_done(now - entry.submitted_at, failed=True)
-            entry.callback(
-                WorkOutcome(id=request_id, status=status, error=payload)
-            )
+            entry.callback(WorkFailed(id=request_id, status=status, error=payload))

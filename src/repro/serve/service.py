@@ -315,6 +315,20 @@ class _Shard(ShardEngine):
         self.batcher.add(ticket)
         return True
 
+    def _run_kernel(self, entry, jobs: list) -> list:
+        """The canonical kernel, looked up in this module at call time.
+
+        :func:`run_sequential` calls the same name, so rebinding
+        ``repro.serve.service.execute_batch`` reroutes every thread-tier
+        execution and the reference alike.
+        """
+        return execute_batch(
+            entry,
+            [job.b for job in jobs],
+            [job.seed for job in jobs],
+            lean=self.config.lean_results,
+        )
+
     def _deliver(self, finished: list) -> None:
         """Resolve each ticket's future (once) and count it done."""
         now = time.perf_counter()
@@ -558,8 +572,9 @@ class SolverService:
 
         Any exception escaping :meth:`_worker_loop` — including
         ``BaseException``s that bypass the per-batch ``except Exception``
-        handlers — fails the in-flight batch with
-        :class:`~repro.errors.ShardFailedError` and re-enters the loop
+        handlers — answers what the in-flight batch's isolation already
+        settled, fails the rest of it with
+        :class:`~repro.errors.ShardFailedError`, and re-enters the loop
         on this same thread (so :meth:`close` can still join it). After
         ``max_shard_restarts`` crashes the shard is marked dead: its
         pending tickets fail, and submits to it fail fast.
@@ -574,8 +589,11 @@ class SolverService:
                     f"shard {shard.index} worker crashed while this request "
                     "was in flight"
                 )
+                # Answer what the batch's isolation already settled, then
+                # fail the rest (_deliver skips tickets already resolved).
+                settled, shard.finished = shard.finished, []
                 inflight, shard.inflight = shard.inflight, []
-                shard._deliver([(ticket, error, None) for ticket in inflight])
+                shard._deliver(settled + [(ticket, error, None) for ticket in inflight])
                 shard.restarts += 1
                 if (
                     self._closed.is_set()

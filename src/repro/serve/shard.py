@@ -10,7 +10,8 @@ isolation → digital fallback or typed failure. A tier subclasses it and
 supplies only what differs by transport: :meth:`ShardEngine._pull`
 admits the next message from its queue, and :meth:`ShardEngine._deliver`
 hands finished ``(job, outcome, status)`` triples to the caller (a
-future, or a response-queue message). Counts go through
+future, or a response-queue message); it may also replace or wrap the
+kernel call, :meth:`ShardEngine._run_kernel`. Counts go through
 :class:`~repro.serve.metrics.MetricsRecorder`'s method names, so failure
 semantics and metrics are identical across tiers by construction.
 
@@ -41,8 +42,9 @@ from repro.serve.resilience import (
 
 __all__ = ["POLL_S", "ShardEngine", "stage_metrics_hook"]
 
-#: Statuses of a successful outcome (the wire statuses of the same name);
-#: a failed outcome has status ``None`` and the exception as its outcome.
+#: Statuses of a successful outcome (:mod:`repro.serve.net.protocol`
+#: answers with these); a failed outcome has status ``None`` and the
+#: exception as its outcome.
 OK = "ok"
 DEGRADED = "degraded"
 
@@ -93,8 +95,11 @@ class ShardEngine:
         #: thread tier's submit reads them under the lock from other threads).
         self.breakers: dict[PreparedKey, CircuitBreaker] = {}
         self.breaker_lock = threading.Lock()
-        #: Jobs of the batch currently executing (crash-rescue list).
+        #: Jobs of the batch currently executing, and the ``(job, outcome,
+        #: status)`` triples its isolation has settled so far (crash-rescue
+        #: lists: a tier's crash handler answers the triples, fails the rest).
         self.inflight: list = []
+        self.finished: list = []
         #: EWMA of per-request service time; drives load-shedding estimates.
         self.service_ewma_s = 0.0
 
@@ -248,12 +253,12 @@ class ShardEngine:
         start = time.perf_counter()
         tracer = obs.active()
         if not tracer.enabled:
-            finished = self._solve(entry, batch, breaker)
+            self._solve(entry, batch, breaker)
             self._note_service_time(start, len(batch))
-            self._deliver(finished)
+            self._deliver(self.finished)
             # Normal-path bookkeeping only: on a loop crash (BaseException)
-            # the inflight list must survive for the tier's rescue.
-            self.inflight = []
+            # both lists must survive for the tier's rescue.
+            self.inflight, self.finished = [], []
             return
         # Queue stages are retroactive (queued stamp → now), so the
         # untraced path stays untouched; the batch span links its member
@@ -275,9 +280,9 @@ class ShardEngine:
         # Activation (not a `with Span`): kernel spans nest under the
         # batch, which ends later, after assembly.
         with tracer.use_span(batch_span):
-            finished = self._solve(entry, batch, breaker)
+            self._solve(entry, batch, breaker)
         solved = self._note_service_time(start, len(batch))
-        for job, outcome, status in finished:
+        for job, outcome, status in self.finished:
             if status:
                 tracer.record_span(
                     "serve.execute",
@@ -289,12 +294,12 @@ class ShardEngine:
                         "analog_time_s": float(getattr(outcome, "analog_time_s", 0.0)),
                     },
                 )
-        self._deliver(finished)
+        self._deliver(self.finished)
         tracer.record_span(
             "serve.assemble", parent=batch_span, start_s=solved, end_s=time.perf_counter()
         )
         batch_span.end()
-        self.inflight = []
+        self.inflight, self.finished = [], []
 
     def _note_service_time(self, start: float, size: int) -> float:
         """Fold one batch's per-request time into the EWMA; returns now."""
@@ -308,7 +313,7 @@ class ShardEngine:
         return now
 
     def _run_kernel(self, entry, jobs: list) -> list:
-        """The canonical kernel over ``jobs`` (a tier may wrap it)."""
+        """The canonical kernel over ``jobs`` (a tier may replace or wrap it)."""
         return execute_batch(
             entry,
             [job.b for job in jobs],
@@ -316,20 +321,18 @@ class ShardEngine:
             lean=self.config.lean_results,
         )
 
-    def _solve(self, entry, batch: list, breaker) -> list:
-        """Run the batch, bisecting on failure; the finished triples."""
-        finished: list = []
+    def _solve(self, entry, batch: list, breaker) -> None:
+        """Run the batch, bisecting on failure, into :attr:`finished`."""
         try:
             results = self._run_kernel(entry, batch)
         except Exception:
-            self._isolate(entry, batch, breaker, finished)
+            self._isolate(entry, batch, breaker)
         else:
-            finished.extend(zip(batch, results, repeat(OK)))
+            self.finished.extend(zip(batch, results, repeat(OK)))
             if breaker is not None:
                 breaker.record_success()
-        return finished
 
-    def _isolate(self, entry, jobs: list, breaker, finished: list) -> None:
+    def _isolate(self, entry, jobs: list, breaker) -> None:
         """Bisect a failed batch so only the culprit request(s) fail.
 
         Every re-execution restarts from each request's own seed through
@@ -344,15 +347,15 @@ class ShardEngine:
                 results = self._run_kernel(entry, part)
             except Exception as exc:
                 if len(jobs) == 1:
-                    self._degrade_or_fail(entry, jobs[0], exc, breaker, finished)
+                    self._degrade_or_fail(entry, jobs[0], exc, breaker)
                 else:
-                    self._isolate(entry, part, breaker, finished)
+                    self._isolate(entry, part, breaker)
             else:
-                finished.extend(zip(part, results, repeat(OK)))
+                self.finished.extend(zip(part, results, repeat(OK)))
                 if breaker is not None:
                     breaker.record_success()
 
-    def _degrade_or_fail(self, entry, job, exc, breaker, finished: list) -> None:
+    def _degrade_or_fail(self, entry, job, exc, breaker) -> None:
         """Bottom of the ladder: digital fallback if allowed, else fail."""
         self._record_failure(entry.key, breaker)
         if self.config.resilience.fallback == "digital" and isinstance(
@@ -364,12 +367,12 @@ class ShardEngine:
             try:
                 result = digital_fallback(request, lean=self.config.lean_results)
             except Exception as fallback_exc:
-                finished.append((job, fallback_exc, None))
+                self.finished.append((job, fallback_exc, None))
                 return
             self.recorder.record_degraded()
-            finished.append((job, result, DEGRADED))
+            self.finished.append((job, result, DEGRADED))
             return
-        finished.append((job, exc, None))
+        self.finished.append((job, exc, None))
 
     def _fail_key(self, key: PreparedKey, error) -> None:
         """Fail every job pending for ``key`` with ``error``."""

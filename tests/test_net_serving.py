@@ -475,7 +475,9 @@ class TestWorkerState:
     )
     def test_worker_exits_when_its_front_end_dies(self):
         """A worker whose front-end process was SIGKILLed exits on its next
-        idle poll instead of polling an orphaned queue for ever."""
+        idle poll instead of polling an orphaned queue for ever, even when
+        the front end died before the worker had started up."""
+        import signal
         import subprocess
         import sys
         import time
@@ -483,11 +485,18 @@ class TestWorkerState:
 
         import repro
 
+        # The worker's constructor waits, so the front end is killed before
+        # the worker has looked at its parent.
         script = (
             "import time\n"
             "from repro.serve import ServiceConfig\n"
-            "from repro.serve.net.workers import ProcessWorkerPool\n"
-            "pool = ProcessWorkerPool(ServiceConfig(workers=1))\n"
+            "from repro.serve.net import workers\n"
+            "init = workers._Worker.__init__\n"
+            "def slow_init(self, *args):\n"
+            "    time.sleep(0.5)\n"
+            "    init(self, *args)\n"
+            "workers._Worker.__init__ = slow_init\n"
+            "pool = workers.ProcessWorkerPool(ServiceConfig(workers=1))\n"
             "print(pool._shards[0].process.pid, flush=True)\n"
             "time.sleep(120)\n"
         )
@@ -515,7 +524,10 @@ class TestWorkerState:
         deadline = time.monotonic() + 2.0
         while state() not in (None, "Z") and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert state() in (None, "Z"), f"orphaned worker {worker} still running"
+        orphaned = state() not in (None, "Z")
+        if orphaned:
+            os.kill(worker, signal.SIGKILL)  # leave no process behind
+        assert not orphaned, f"orphaned worker {worker} still running"
 
     def test_hot_digest_survives_cold_inserts(self):
         """The matrix stash is LRU: naming a resident digest refreshes it."""
@@ -789,7 +801,7 @@ class TestCoalescedHops:
         import asyncio
 
         from repro.serve.net.protocol import STATUS_OK
-        from repro.serve.net.workers import WorkOutcome
+        from repro.serve.net.workers import WorkDone
 
         class Loop:
             def __init__(self):
@@ -817,7 +829,7 @@ class TestCoalescedHops:
         def answer(callbacks):
             for request_id, callback in callbacks:
                 callback(
-                    WorkOutcome(
+                    WorkDone(
                         id=request_id, status=STATUS_OK, x=b, reference=b, telemetry={}
                     )
                 )

@@ -798,6 +798,62 @@ class TestWorkerCrashes:
         assert metrics.requests_failed == 1
         assert metrics.requests_completed == 1
 
+    def test_crash_mid_isolation_answers_what_isolation_settled(self, slow_kind):
+        # One batch of four: the second request is poisoned, the third
+        # kills the worker. Bisection settles the first half (the clean
+        # request answered, the poisoned one failed) before the second
+        # half's kill, so only the second half fails with the crash.
+        started, release = slow_kind
+        plan = ChaosPlan(seed=0, solve_failure_rate=0.3, worker_kill_rate=0.3)
+
+        def faults(b):
+            tag = rhs_tag(b)
+            return (
+                plan.decides("fail", plan.solve_failure_rate, tag),
+                plan.decides("kill", plan.worker_kill_rate, tag),
+            )
+
+        candidates = [random_vector(12, rng=i) for i in range(64)]
+        clean = [b for b in candidates if faults(b) == (False, False)]
+        poisoned = next(b for b in candidates if faults(b) == (True, False))
+        killer = next(b for b in candidates if faults(b) == (False, True))
+        blocker_b = next(
+            b for b in (random_vector(8, rng=i) for i in range(64))
+            if faults(b) == (False, False)
+        )
+        matrix = wishart_matrix(12, rng=0)
+        requests = [
+            SolveRequest(matrix=matrix, b=b, seed=i)
+            for i, b in enumerate([clean[0], poisoned, killer, clean[1]])
+        ]
+        config = ServiceConfig(
+            workers=1,
+            max_batch_size=len(requests),
+            max_linger_s=0.0,
+            resilience=ResiliencePolicy(breaker_threshold=0),
+            entry_transform=chaos_entry_transform(plan),
+        )
+        reference, _ = run_sequential(requests[:1], ServiceConfig(workers=1))
+        with SolverService(config) as service:
+            # Wedge the shard so the four requests execute as one batch.
+            blocker = service.submit(
+                wishart_matrix(8, rng=1), blocker_b, solver="slow-test"
+            )
+            assert started.wait(timeout=30)
+            tickets = [service.submit_request(r) for r in requests]
+            release.set()
+            blocker.result(timeout=60)
+            outcomes = [t.exception(timeout=60) for t in tickets]
+            metrics = service.metrics()
+        assert outcomes[0] is None
+        assert _identical(tickets[0].result(), reference[0])
+        assert isinstance(outcomes[1], SolverError)
+        assert all(isinstance(outcome, ShardFailedError) for outcome in outcomes[2:])
+        assert metrics.batch_size_histogram == {1: 1, len(requests): 1}
+        assert metrics.shard_crashes == 1
+        assert metrics.requests_failed == 3
+        assert metrics.requests_completed == 2
+
     def test_shard_dies_after_restart_budget(self):
         matrix = wishart_matrix(10, rng=0)
         plan = ChaosPlan(seed=0, worker_kill_rate=1.0)
