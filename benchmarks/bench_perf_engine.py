@@ -5,8 +5,8 @@ pre-optimization reference implementations and writes the
 Three comparisons, matching the engine's three layers:
 
 1. ``exact_effective_matrix`` on a 64x64 array — reference cell-by-cell
-   assembly + per-column solves (``method="loop"``) vs. the Schur/banded
-   engine (target >= 10x).
+   assembly + per-column solves (``tests/oracles/ladder.py``) vs. the
+   Schur/banded engine (target >= 10x).
 2. The tier-1-scale Fig. 7 variation sweep — sequential ``run_trials``
    vs. trial-batched ``run_trials_batched`` (target >= 3x). The
    sequential original-AMC trials walk the scalar oracle, the
@@ -50,6 +50,7 @@ from repro.crossbar.parasitics import (
 )
 from repro.serve.cache import PreparedKey, prepare_entry
 from repro.workloads.matrices import random_vector, wishart_matrix
+from tests.oracles import ladder, netlist
 from tests.oracles.scalar import OracleSolver, oracle_solve
 
 #: Tier-1-scale sweep shape (the CI-friendly Fig. 7 configuration).
@@ -101,11 +102,11 @@ def test_exact_effective_matrix_64x64(report):
     rng = np.random.default_rng(7)
     g = rng.uniform(0.0, 1e-4, size=(64, 64))
 
-    reference = exact_effective_matrix(g, 1.0, method="loop")
+    reference = ladder.exact_effective_matrix(g, 1.0)
     fast = exact_effective_matrix(g, 1.0)
     assert np.max(np.abs(fast - reference)) < 1e-10
 
-    old_s = time_call(lambda: exact_effective_matrix(g, 1.0, method="loop"), repeats=2)
+    old_s = time_call(lambda: ladder.exact_effective_matrix(g, 1.0), repeats=2)
     new_s = time_call(lambda: exact_effective_matrix(g, 1.0), repeats=5)
     speedup = _report.add(
         "exact_effective_matrix_64x64",
@@ -287,17 +288,17 @@ def test_netlist_assembly(report):
     g_neg = rng.uniform(1e-6, 1e-4, size=(n, n))
     v_in = rng.uniform(-1.0, 1.0, size=n)
 
-    bulk_c, bulk_out = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=True)
-    loop_c, loop_out = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False)
+    bulk_c, bulk_out = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0)
+    loop_c, loop_out = netlist.build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0)
     assert bulk_out == loop_out
     assert bulk_c.elements == loop_c.elements
 
     old_s = time_call(
-        lambda: build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False),
+        lambda: netlist.build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0),
         repeats=2,
     )
     new_s = time_call(
-        lambda: build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=True),
+        lambda: build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0),
         repeats=3,
     )
     speedup = _report.add(
@@ -338,9 +339,7 @@ def test_netlist_assembly_columnar(report):
     v_in = rng.uniform(-1.0, 1.0, size=n)
 
     def reference():
-        circuit, _ = build_mvm_circuit(
-            g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False
-        )
+        circuit, _ = netlist.build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0)
         return assemble_mna(circuit)
 
     def columnar():

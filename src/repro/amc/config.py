@@ -180,15 +180,15 @@ class HardwareConfig:
     """Route operations through the full MNA netlist instead of the fast
     algebraic model (slow; for validation)."""
     backend: str = "numpy"
-    """Array backend / precision tier the analog kernel runs at (a name
-    registered in :mod:`repro.core.backend`; ``"numpy"`` is the
+    """Array backend / precision tier the analog kernel runs at (a tier
+    name or alias of :mod:`repro.core.backend`; ``"numpy"`` is the
     byte-identical float64 default, ``"numpy-f32"`` the float32 tier).
     Digital glue — references, Schur preprocessing, MNA routing — always
     runs float64 regardless of tier."""
 
     def __post_init__(self):
         check_positive(self.g_unit, "g_unit")
-        get_backend(self.backend)  # fail fast on unknown/unavailable names
+        get_backend(self.backend)  # fail fast on unknown names
 
     def resolve_backend(self) -> ArrayBackend:
         """The :class:`~repro.core.backend.ArrayBackend` instance for

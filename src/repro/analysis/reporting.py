@@ -1,7 +1,6 @@
 """Reporting: ASCII/markdown tables and the one-command experiment report.
 
-This module is the single reporting entry point of the analysis layer
-(the former ``repro.analysis.report`` is a deprecated alias):
+This module is the single reporting entry point of the analysis layer:
 
 - :func:`format_table` — fixed-width ASCII tables in the row/series
   shape of the paper's tables and figure legends (used by every bench);

@@ -8,6 +8,14 @@ against (the same role HSPICE plays in the paper).
 
 Geometry convention matches :mod:`repro.crossbar.parasitics`: BL drivers
 sit at row 0 of each column, WL amplifiers at column 0 of each row.
+
+Each builder has two assembly paths with the same element order: an
+object :class:`~repro.circuits.netlist.Circuit` filled through the
+bulk-append API (the default; the AC sweep in :mod:`repro.circuits.ac`
+needs it, because it stamps complex op-amp gains), and a struct-of-arrays
+:class:`~repro.circuits.columnar.ColumnarCircuit` (``columnar=True``,
+the MNA hot path). Both are checked against the cell-by-cell builders
+in ``tests/oracles/netlist.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ def _array_strings(prefix: str, rows: int, cols: int) -> dict:
 
     Layout: ``b_nodes``/``rb_names`` are column-major (index
     ``j * rows + i``), ``w_nodes``/``rw_names``/``g_names`` row-major
-    (index ``i * cols + j``), matching the insertion order of
-    :func:`_add_array_loop`.
+    (index ``i * cols + j``), matching the order :func:`_add_array`
+    inserts the ladder segments in.
     """
     return {
         "b_nodes": tuple(
@@ -71,9 +79,9 @@ def _add_array(
     Elements land through the bulk-append netlist API: cell positions
     come from one ``np.nonzero``, node/name strings from flat
     comprehensions, and the circuit registers each element class in a
-    single pass (the cell-by-cell reference path is kept as
-    :func:`_add_array_loop` and timed against this one by
-    ``benchmarks/bench_perf_engine.py``).
+    single pass (the cell-by-cell reference builders live in
+    ``tests/oracles/netlist.py``; ``benchmarks/bench_perf_engine.py``
+    times this path against them).
     """
     rows, cols = g.shape
     ii, jj = np.nonzero(g > 0.0)
@@ -121,50 +129,6 @@ def _add_array(
         values,
         [g_names[i * cols + j] for i, j in cells],
     )
-
-
-def _add_array_loop(
-    circuit: Circuit,
-    g: np.ndarray,
-    prefix: str,
-    bl_drive_nodes: list[str],
-    wl_collect_nodes: list[str],
-    r_wire: float,
-) -> None:
-    """Cell-by-cell reference implementation of :func:`_add_array`.
-
-    Appends every element through the scalar netlist builders, exactly
-    as the original generator did. Kept so the bulk path has an
-    in-repo equivalence oracle and a timing baseline.
-    """
-    rows, cols = g.shape
-    if r_wire == 0.0:
-        for i in range(rows):
-            for j in range(cols):
-                if g[i, j] > 0.0:
-                    circuit.conductor(
-                        bl_drive_nodes[j], wl_collect_nodes[i], g[i, j], f"{prefix}_g_{i}_{j}"
-                    )
-        return
-
-    for j in range(cols):
-        previous = bl_drive_nodes[j]
-        for i in range(rows):
-            node = f"{prefix}_b_{i}_{j}"
-            circuit.resistor(previous, node, r_wire, f"{prefix}_rb_{i}_{j}")
-            previous = node
-    for i in range(rows):
-        previous = wl_collect_nodes[i]
-        for j in range(cols):
-            node = f"{prefix}_w_{i}_{j}"
-            circuit.resistor(previous, node, r_wire, f"{prefix}_rw_{i}_{j}")
-            previous = node
-    for i in range(rows):
-        for j in range(cols):
-            if g[i, j] > 0.0:
-                circuit.conductor(
-                    f"{prefix}_b_{i}_{j}", f"{prefix}_w_{i}_{j}", g[i, j], f"{prefix}_g_{i}_{j}"
-                )
 
 
 def _add_array_columnar(
@@ -229,9 +193,7 @@ def _offset_ids(
     return ids
 
 
-def _offset_nodes(
-    circuit: Circuit, offsets: np.ndarray | None, rows: int, bulk: bool = True
-) -> list[str]:
+def _offset_nodes(circuit: Circuit, offsets: np.ndarray | None, rows: int) -> list[str]:
     """Non-inverting input nodes: ground, or offset sources when given.
 
     A real op-amp's input-referred offset is modelled exactly by a small
@@ -241,11 +203,7 @@ def _offset_nodes(
         return ["0"] * rows
     offsets = check_vector(offsets, "offsets", size=rows)
     nodes = [f"vos_{i}" for i in range(rows)]
-    if bulk:
-        circuit.vsources(nodes, ["0"] * rows, offsets, [f"Vos_{i}" for i in range(rows)])
-    else:
-        for i in range(rows):
-            circuit.vsource(nodes[i], "0", float(offsets[i]), f"Vos_{i}")
+    circuit.vsources(nodes, ["0"] * rows, offsets, [f"Vos_{i}" for i in range(rows)])
     return nodes
 
 
@@ -258,7 +216,6 @@ def build_mvm_circuit(
     r_wire: float = 0.0,
     opamp_gain: float | None = None,
     offsets: np.ndarray | None = None,
-    bulk: bool = True,
     columnar: bool = False,
 ) -> tuple[Circuit | ColumnarCircuit, list[str]]:
     """Build the MVM circuit of Fig. 1(a) with a dual array pair.
@@ -281,14 +238,9 @@ def build_mvm_circuit(
         Wire segment resistance (ohm); 0 disables the ladder.
     opamp_gain:
         Finite open-loop gain; ``None`` for ideal op-amps.
-    bulk:
-        Assemble through the bulk-append netlist API (default). The
-        cell-by-cell path (``False``) produces an element-for-element
-        identical netlist and exists as the equivalence/timing
-        reference.
     columnar:
         Build a struct-of-arrays :class:`ColumnarCircuit` instead of an
-        object netlist (``bulk`` is then irrelevant). The assembled MNA
+        object netlist. The assembled MNA
         system is bit-identical to the object path's; assembly is an
         order of magnitude faster for large ladders.
 
@@ -313,29 +265,23 @@ def build_mvm_circuit(
     circuit = Circuit("mvm")
     pos_drivers = [f"drv_p_{j}" for j in range(cols)]
     neg_drivers = [f"drv_n_{j}" for j in range(cols)]
-    if bulk:
-        # Interleaved (Vp_j, Vn_j) per column, matching the loop order.
-        circuit.vsources(
-            [node for j in range(cols) for node in (pos_drivers[j], neg_drivers[j])],
-            ["0"] * (2 * cols),
-            [value for j in range(cols) for value in (v_in[j], -v_in[j])],
-            [name for j in range(cols) for name in (f"Vp_{j}", f"Vn_{j}")],
-        )
-    else:
-        for j in range(cols):
-            circuit.vsource(pos_drivers[j], "0", float(v_in[j]), f"Vp_{j}")
-            circuit.vsource(neg_drivers[j], "0", float(-v_in[j]), f"Vn_{j}")
+    # Interleaved (Vp_j, Vn_j) per column, the cell-by-cell order.
+    circuit.vsources(
+        [node for j in range(cols) for node in (pos_drivers[j], neg_drivers[j])],
+        ["0"] * (2 * cols),
+        [value for j in range(cols) for value in (v_in[j], -v_in[j])],
+        [name for j in range(cols) for name in (f"Vp_{j}", f"Vn_{j}")],
+    )
 
     sum_nodes = [f"sum_{i}" for i in range(rows)]
     out_nodes = [f"out_{i}" for i in range(rows)]
-    noninv = _offset_nodes(circuit, offsets, rows, bulk=bulk)
+    noninv = _offset_nodes(circuit, offsets, rows)
     for i in range(rows):
         circuit.opamp(sum_nodes[i], noninv[i], out_nodes[i], gain=opamp_gain, name=f"A_{i}")
         circuit.conductor(out_nodes[i], sum_nodes[i], g_feedback, f"Rf_{i}")
 
-    add_array = _add_array if bulk else _add_array_loop
-    add_array(circuit, g_pos, "p", pos_drivers, sum_nodes, r_wire)
-    add_array(circuit, g_neg, "n", neg_drivers, sum_nodes, r_wire)
+    _add_array(circuit, g_pos, "p", pos_drivers, sum_nodes, r_wire)
+    _add_array(circuit, g_neg, "n", neg_drivers, sum_nodes, r_wire)
     return circuit, out_nodes
 
 
@@ -401,7 +347,6 @@ def build_inv_circuit(
     r_wire: float = 0.0,
     opamp_gain: float | None = None,
     offsets: np.ndarray | None = None,
-    bulk: bool = True,
     columnar: bool = False,
 ) -> tuple[Circuit | ColumnarCircuit, list[str]]:
     """Build the INV circuit of Fig. 1(b) with a dual array pair.
@@ -434,7 +379,7 @@ def build_inv_circuit(
     circuit = Circuit("inv")
     sum_nodes = [f"sum_{i}" for i in range(rows)]
     out_nodes = [f"out_{i}" for i in range(rows)]
-    noninv = _offset_nodes(circuit, offsets, rows, bulk=bulk)
+    noninv = _offset_nodes(circuit, offsets, rows)
 
     for i in range(rows):
         circuit.vsource(f"in_{i}", "0", float(v_in[i]), f"Vin_{i}")
@@ -446,9 +391,8 @@ def build_inv_circuit(
     for j in range(cols):
         circuit.vcvs(ninv_nodes[j], "0", "0", out_nodes[j], 1.0, f"Einv_{j}")
 
-    add_array = _add_array if bulk else _add_array_loop
-    add_array(circuit, g_pos, "p", out_nodes, sum_nodes, r_wire)
-    add_array(circuit, g_neg, "n", ninv_nodes, sum_nodes, r_wire)
+    _add_array(circuit, g_pos, "p", out_nodes, sum_nodes, r_wire)
+    _add_array(circuit, g_neg, "n", ninv_nodes, sum_nodes, r_wire)
     return circuit, out_nodes
 
 

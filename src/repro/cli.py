@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--backend", type=str, default=None,
             help="array backend / precision tier for the default hardware "
-            "(numpy, numpy-f32, torch; default: the hardware's own tier)",
+            "(numpy or numpy-f32; default: the hardware's own tier)",
         )
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument(
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--backend", type=str, default=None,
             help="array backend / precision tier for the whole grid "
-            "(numpy, numpy-f32, torch); changes the campaign digest, so "
+            "(numpy or numpy-f32); changes the campaign digest, so "
             "each tier gets its own store",
         )
 

@@ -44,28 +44,21 @@ _EXPORTS = {
     "PartitionSpec": "repro.core.partition",
     "RefinementResult": "repro.core.refinement",
     "SolveResult": "repro.core.solution",
-    "amc_block_preconditioner": "repro.core.preconditioned",
     "amc_preconditioner": "repro.core.preconditioned",
     "assess_feasibility": "repro.core.feasibility",
     "build_macro_arrays": "repro.core.partition",
     "compensated_refinement": "repro.core.precision",
     "conjugate_gradient": "repro.core.digital",
-    "conjugate_gradient_many": "repro.core.digital",
     "fgmres": "repro.core.preconditioned",
-    "fgmres_many": "repro.core.preconditioned",
     "gauss_seidel": "repro.core.digital",
-    "gauss_seidel_many": "repro.core.digital",
     "gmres": "repro.core.digital",
-    "gmres_many": "repro.core.digital",
     "is_batchable_config": "repro.core.batched",
     "iterative_refinement": "repro.core.refinement",
     "jacobi": "repro.core.digital",
-    "jacobi_many": "repro.core.digital",
     "make_batched_runner": "repro.core.batched",
     "prepare_blocks": "repro.core.partition",
     "recommended_stage_count": "repro.core.feasibility",
     "richardson": "repro.core.digital",
-    "richardson_many": "repro.core.digital",
 }
 
 __all__ = sorted(_EXPORTS)

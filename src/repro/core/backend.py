@@ -1,13 +1,13 @@
-"""Array backends: the precision/namespace seam under the analog kernel.
+"""Array backends: the precision seam under the analog kernel.
 
 Every solver layer funnels its dense math through the shape-generic
-kernel in :mod:`repro.core.common` (PR 3/5), which makes one seam cheap:
-an :class:`ArrayBackend` names the array namespace (``xp``), the
-canonical dtype the kernel computes in, the dtype-matched LAPACK
-handles (``getrf``/``getrs``), and a :class:`ToleranceContract` stating
-how results at this tier may differ from the float64 reference.
+kernel in :mod:`repro.core.common`, which makes one seam cheap: an
+:class:`ArrayBackend` names the canonical dtype the kernel computes in,
+the dtype-matched LAPACK handles (``getrf``/``getrs``), and a
+:class:`ToleranceContract` stating how results at this tier may differ
+from the float64 reference.
 
-Contracts per registered backend:
+There are exactly two tiers, in one fixed table:
 
 - ``numpy`` (default, aliases ``numpy-f64``/``f64``/``float64``) —
   float64 on NumPy, **byte-identical** to the pre-seam engine: its
@@ -19,12 +19,10 @@ Contracts per registered backend:
   bit-identity meaningless here; instead the tier promises the
   relative-L1 contract in :data:`F32_TOLERANCE`, enforced on the full
   config x matrix-family grid by ``tests/test_kernel_equivalence.py``.
-- ``torch`` — registers behind the same seam but constructs only when
-  PyTorch is importable (:class:`repro.errors.BackendError` otherwise;
-  the CI leg auto-skips). Kernel solves stay on the bitwise-stable
-  SciPy LAPACK primitive; the backend's job is tensor interop at the
-  boundary (``cast`` accepts tensors, :meth:`TorchArrayBackend.tensor`
-  returns them).
+
+:func:`get_backend` resolves a name or alias to the tier's one shared
+instance; any other name raises :class:`repro.errors.BackendError`
+listing the known ones.
 
 The kernel never branches on dtype: consumers call ``backend.cast``
 unconditionally on every array entering the analog physics, and the
@@ -35,7 +33,6 @@ the float64 path stays byte-identical without a parallel code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -47,12 +44,9 @@ __all__ = [
     "DEFAULT_BACKEND",
     "F32_TOLERANCE",
     "ToleranceContract",
-    "TorchArrayBackend",
-    "available_backends",
     "canonical_dtype",
     "get_backend",
     "lapack_solvers",
-    "register_backend",
 ]
 
 _F32 = np.dtype(np.float32)
@@ -145,35 +139,19 @@ F32_TOLERANCE = ToleranceContract(rtol=5e-3, atol=5e-4)
 
 
 class ArrayBackend:
-    """One precision/namespace tier of the analog kernel.
+    """One precision tier of the analog kernel.
 
-    Instances are stateless and shared (``get_backend`` memoizes); the
-    kernel consumes exactly four things: ``xp`` (the array namespace),
-    ``dtype`` (canonical), ``lapack()`` (dtype-matched solver pair), and
-    ``cast`` — the universal entry coercion, a no-op on arrays already
-    at the backend dtype.
+    Instances are stateless and shared (one per tier, see
+    :func:`get_backend`); the kernel consumes ``dtype`` (canonical),
+    ``lapack()`` (dtype-matched solver pair), and ``cast`` — the
+    universal entry coercion, a no-op on arrays already at the backend
+    dtype.
     """
 
-    def __init__(
-        self,
-        name: str,
-        dtype,
-        tolerance: ToleranceContract,
-        description: str = "",
-    ):
+    def __init__(self, name: str, dtype, tolerance: ToleranceContract):
         self.name = name
         self.dtype = canonical_dtype(dtype)
         self.tolerance = tolerance
-        self.description = description or f"{self.dtype.name} on NumPy"
-
-    @property
-    def xp(self):
-        """The array namespace kernel math runs in."""
-        return np
-
-    @property
-    def itemsize(self) -> int:
-        return self.dtype.itemsize
 
     def cast(self, value):
         """``value`` at the backend dtype (``None`` passes through).
@@ -187,10 +165,6 @@ class ArrayBackend:
             return None
         return np.asarray(value, dtype=self.dtype)
 
-    def to_numpy(self, value) -> np.ndarray:
-        """``value`` as a NumPy array (dtype preserved)."""
-        return np.asarray(value)
-
     def lapack(self) -> tuple:
         """``(getrf, getrs)`` matching :attr:`dtype` (memoized)."""
         return lapack_solvers(self.dtype)
@@ -202,121 +176,28 @@ class ArrayBackend:
         )
 
 
-class TorchArrayBackend(ArrayBackend):
-    """Torch-interop tier behind the same seam (requires PyTorch).
+_FLOAT64_TIER = ArrayBackend("numpy", np.float64, ToleranceContract())
+_FLOAT32_TIER = ArrayBackend("numpy-f32", np.float32, F32_TOLERANCE)
 
-    Dense solves still run through the bitwise-stable SciPy LAPACK
-    primitive — torch's batched ``linalg`` would break the kernel's
-    per-column operation-order contract — so this backend's value is at
-    the boundary: ``cast`` accepts tensors (detached to CPU NumPy at
-    the backend dtype) and :meth:`tensor` hands results back as torch
-    tensors for callers embedding the crossbar physics in tensor
-    pipelines.
-    """
-
-    def __init__(self, name: str = "torch", dtype=np.float32):
-        try:
-            import torch
-        except ImportError as exc:
-            raise BackendError(
-                "torch backend unavailable: PyTorch is not installed "
-                "(use 'numpy' or 'numpy-f32')"
-            ) from exc
-        # Everything past the import runs only with torch installed;
-        # the torch-absent contract (BackendError above) is what the
-        # coverage floor guards.
-        tolerance = (  # pragma: no cover - requires torch
-            ToleranceContract() if canonical_dtype(dtype) == _F64 else F32_TOLERANCE
-        )
-        super().__init__(  # pragma: no cover - requires torch
-            name, dtype, tolerance, f"{canonical_dtype(dtype).name} with torch interop"
-        )
-        self._torch = torch  # pragma: no cover - requires torch
-
-    @property
-    def xp(self):  # pragma: no cover - requires torch
-        return self._torch
-
-    def cast(self, value):  # pragma: no cover - requires torch
-        if value is None:
-            return None
-        if isinstance(value, self._torch.Tensor):
-            value = value.detach().cpu().numpy()
-        return np.asarray(value, dtype=self.dtype)
-
-    def to_numpy(self, value) -> np.ndarray:  # pragma: no cover - requires torch
-        if isinstance(value, self._torch.Tensor):
-            return value.detach().cpu().numpy()
-        return np.asarray(value)
-
-    def tensor(self, value):  # pragma: no cover - requires torch
-        """``value`` as a torch tensor at the backend dtype."""
-        return self._torch.as_tensor(self.cast(value))
-
-
-_FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
-_ALIASES: dict[str, str] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[], ArrayBackend], aliases: Sequence[str] = ()
-) -> None:
-    """Register (or replace) a backend factory under ``name`` + aliases.
-
-    The factory runs lazily on first :func:`get_backend` and may raise
-    :class:`~repro.errors.BackendError` when the environment lacks a
-    dependency (how the torch tier degrades without torch installed).
-    """
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-    for alias in aliases:
-        _ALIASES[alias] = name
+#: Every accepted tier name and alias -> that tier's one shared instance.
+_BACKENDS: dict[str, ArrayBackend] = {
+    **dict.fromkeys(("numpy", "numpy-f64", "f64", "float64"), _FLOAT64_TIER),
+    **dict.fromkeys(("numpy-f32", "f32", "float32"), _FLOAT32_TIER),
+}
 
 
 def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
     """Resolve a backend by name/alias (``None`` -> the default tier).
 
     Instances pass through, so APIs can accept either form. Unknown
-    names and unconstructible backends raise
-    :class:`~repro.errors.BackendError`.
+    names raise :class:`~repro.errors.BackendError`.
     """
     if name is None:
         name = DEFAULT_BACKEND
     if isinstance(name, ArrayBackend):
         return name
-    key = _ALIASES.get(name, name)
-    backend = _INSTANCES.get(key)
+    backend = _BACKENDS.get(name)
     if backend is None:
-        factory = _FACTORIES.get(key)
-        if factory is None:
-            known = ", ".join(sorted(set(_FACTORIES) | set(_ALIASES)))
-            raise BackendError(f"unknown array backend {name!r} (known: {known})")
-        backend = factory()
-        _INSTANCES[key] = backend
+        known = ", ".join(sorted(_BACKENDS))
+        raise BackendError(f"unknown array backend {name!r} (known: {known})")
     return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names constructible in this environment."""
-    names = []
-    for key in sorted(_FACTORIES):
-        try:
-            get_backend(key)
-        except BackendError:
-            continue
-        names.append(key)
-    return tuple(names)
-
-
-register_backend(
-    "numpy",
-    lambda: ArrayBackend("numpy", np.float64, ToleranceContract()),
-    aliases=("numpy-f64", "f64", "float64"),
-)
-register_backend(
-    "numpy-f32",
-    lambda: ArrayBackend("numpy-f32", np.float32, F32_TOLERANCE),
-    aliases=("f32", "float32"),
-)
-register_backend("torch", lambda: TorchArrayBackend(), aliases=("torch-f32",))

@@ -49,8 +49,9 @@ so it is engineered for batch throughput:
   top, so re-extracting the same programmed conductances (e.g. the
   positive and negative array of a pair across schedule steps) is free.
 
-``exact_effective_matrix(..., method="loop")`` preserves the original
-cell-by-cell assembly and column-by-column solve for equivalence tests.
+A cell-by-cell assembly and column-by-column solve, in
+``tests/oracles/ladder.py``, are the reference these engines are tested
+against.
 """
 
 from __future__ import annotations
@@ -226,12 +227,18 @@ def _ladder_structure(rows: int, cols: int) -> dict:
 
 
 def _ladder_system(g: np.ndarray, r_wire: float) -> tuple[csc_matrix, int, int]:
-    """Assemble the ladder system with vectorized index arithmetic.
+    """Assemble the sparse conductance matrix of the crossbar ladder network.
 
-    Same unknown ordering and numerical content as
-    :func:`_ladder_system_loop` (tests assert exact equality of the
-    assembled matrices), but built from the cached per-shape structure
-    template in O(cells) NumPy work with no Python loop.
+    Unknowns are ordered ``[v_bl(0,0) ... v_bl(rows-1, cols-1),
+    v_wl(0,0) ... v_wl(rows-1, cols-1)]`` in row-major order. BL drivers
+    (ideal voltage sources at the top of each column) and WL amplifier
+    virtual grounds (0 V at the left of each row) are eliminated into the
+    right-hand side, so the system is pure nodal analysis and symmetric
+    positive definite.
+
+    Built from the cached per-shape structure template in O(cells)
+    NumPy work with no Python loop; tests assert exact equality with the
+    cell-by-cell stamping of ``tests/oracles/ladder.py``.
     """
     rows, cols = g.shape
     g_seg = 1.0 / r_wire
@@ -255,77 +262,6 @@ def _ladder_system(g: np.ndarray, r_wire: float) -> tuple[csc_matrix, int, int]:
     )
     matrix = csc_matrix(
         (data, (s["rows_idx"], s["cols_idx"])), shape=(2 * n_cells, 2 * n_cells)
-    )
-    return matrix, rows, cols
-
-
-def _ladder_system_loop(g: np.ndarray, r_wire: float) -> tuple[csc_matrix, int, int]:
-    """Assemble the sparse conductance matrix of the crossbar ladder network.
-
-    Unknowns are ordered ``[v_bl(0,0) ... v_bl(rows-1, cols-1),
-    v_wl(0,0) ... v_wl(rows-1, cols-1)]`` in row-major order. BL drivers
-    (ideal voltage sources at the top of each column) and WL amplifier
-    virtual grounds (0 V at the left of each row) are eliminated into the
-    right-hand side, so the system is pure nodal analysis and symmetric
-    positive definite.
-
-    This is the original cell-by-cell reference implementation, kept for
-    the assembly equivalence tests; :func:`_ladder_system` produces the
-    same matrix with vectorized index arithmetic.
-    """
-    rows, cols = g.shape
-    g_seg = 1.0 / r_wire
-    n_cells = rows * cols
-
-    def bl(i: int, j: int) -> int:
-        return i * cols + j
-
-    def wl(i: int, j: int) -> int:
-        return n_cells + i * cols + j
-
-    data: list[float] = []
-    rows_idx: list[int] = []
-    cols_idx: list[int] = []
-    diag = np.zeros(2 * n_cells)
-
-    def add_offdiag(a: int, b: int, value: float) -> None:
-        rows_idx.append(a)
-        cols_idx.append(b)
-        data.append(value)
-
-    def stamp_branch(a: int, b: int, conductance: float) -> None:
-        """Stamp a conductance between two internal nodes."""
-        diag[a] += conductance
-        diag[b] += conductance
-        add_offdiag(a, b, -conductance)
-        add_offdiag(b, a, -conductance)
-
-    for i in range(rows):
-        for j in range(cols):
-            # Cell conductance couples the BL node to the WL node.
-            gij = g[i, j]
-            if gij > 0.0:
-                stamp_branch(bl(i, j), wl(i, j), gij)
-            # BL wire segment toward the driver (row 0 side). The segment
-            # from the driver itself is eliminated into the RHS, so it
-            # only loads the first node's diagonal.
-            if i > 0:
-                stamp_branch(bl(i, j), bl(i - 1, j), g_seg)
-            else:
-                diag[bl(0, j)] += g_seg
-            # WL wire segment toward the amplifier (column 0 side). The
-            # amplifier node is a 0 V virtual ground: diagonal only.
-            if j > 0:
-                stamp_branch(wl(i, j), wl(i, j - 1), g_seg)
-            else:
-                diag[wl(i, 0)] += g_seg
-
-    for node, value in enumerate(diag):
-        add_offdiag(node, node, value)
-
-    matrix = csc_matrix(
-        (np.asarray(data), (np.asarray(rows_idx), np.asarray(cols_idx))),
-        shape=(2 * n_cells, 2 * n_cells),
     )
     return matrix, rows, cols
 
@@ -536,7 +472,7 @@ def exact_effective_matrix(
     the BL drive voltages and ``i_out`` the currents collected at the
     virtual-ground WL terminals.
 
-    Three solution engines are available:
+    Two solution engines are available:
 
     - ``"schur"``: eliminate the BL nodes through the closed-form
       semiseparable inverse of each column's tridiagonal chain and solve
@@ -545,8 +481,6 @@ def exact_effective_matrix(
       path for every practical array size.
     - ``"lu"``: vectorized sparse assembly, one SuperLU factorization,
       and a single multi-RHS ``lu.solve`` for all drive columns.
-    - ``"loop"``: the original cell-by-cell assembly and column-by-column
-      solve, kept as the equivalence reference.
 
     ``"auto"`` (default) picks ``"schur"`` unless its dense block tensor
     would exceed the memory budget, then falls back to ``"lu"``.
@@ -561,7 +495,7 @@ def exact_effective_matrix(
     r_wire:
         Segment resistance (ohm).
     method:
-        ``"auto"``, ``"schur"``, ``"lu"``, or ``"loop"``.
+        ``"auto"``, ``"schur"``, or ``"lu"``.
     """
     g = check_matrix(g, "g")
     if np.any(g < 0.0):
@@ -570,27 +504,8 @@ def exact_effective_matrix(
         return g.copy()
     if r_wire < 0.0:
         raise ValueError(f"r_wire must be >= 0, got {r_wire}")
-    if method not in ("auto", "schur", "lu", "loop"):
-        raise ValueError(
-            f"method must be 'auto', 'schur', 'lu', or 'loop', got {method!r}"
-        )
-
-    if method == "loop":
-        system, rows, cols = _ladder_system_loop(g, r_wire)
-        try:
-            lu = splu(system)
-        except RuntimeError as exc:  # pragma: no cover - singular only if malformed
-            raise CircuitError(f"parasitic network is singular: {exc}") from exc
-        g_seg = 1.0 / r_wire
-        n_cells = rows * cols
-        eff = np.zeros((rows, cols))
-        rhs = np.zeros(2 * n_cells)
-        for j in range(cols):
-            rhs[:] = 0.0
-            rhs[j] = g_seg  # bl(0, j) has flat index 0 * cols + j == j
-            solution = lu.solve(rhs)
-            eff[:, j] = g_seg * solution[n_cells : 2 * n_cells : cols]
-        return eff
+    if method not in ("auto", "schur", "lu"):
+        raise ValueError(f"method must be 'auto', 'schur', or 'lu', got {method!r}")
 
     if method in ("auto", "schur"):
         rows, cols = g.shape

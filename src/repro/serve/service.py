@@ -153,7 +153,7 @@ class ServiceConfig:
         results: solves are bit-identical either way.
     backend:
         Array backend / precision tier for the *default* hardware
-        (``"numpy"``, ``"numpy-f32"``, ``"torch"`` — see
+        (``"numpy"`` or ``"numpy-f32"`` — see
         :mod:`repro.core.backend`). ``None`` keeps whatever tier
         ``default_hardware`` already carries. Requests that bring their
         own :class:`HardwareConfig` are unaffected: their config's own
@@ -212,7 +212,7 @@ class ServiceConfig:
                 f"available: {sorted(SOLVER_KINDS)}"
             )
         if self.backend is not None:
-            get_backend(self.backend)  # fail fast on unknown/unavailable tiers
+            get_backend(self.backend)  # fail fast on unknown tiers
             object.__setattr__(
                 self,
                 "default_hardware",

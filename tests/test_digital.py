@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.digital import (
     DigitalDirectSolver,
@@ -11,7 +13,8 @@ from repro.core.digital import (
     jacobi,
     richardson,
 )
-from repro.errors import ConvergenceError, SolverError
+from repro.core.preconditioned import fgmres
+from repro.errors import ConvergenceError, SolverError, ValidationError
 from repro.workloads.matrices import (
     diagonally_dominant_matrix,
     random_vector,
@@ -193,15 +196,6 @@ class TestGmresHappyBreakdown:
         result = gmres(a, b, tol=1e-13)
         np.testing.assert_allclose(result.x, np.linalg.solve(a, b), rtol=1e-9)
 
-    def test_gmres_many_inherits_fix(self):
-        a, b = self._low_degree_system(seed=5)
-        from repro.core.digital import gmres_many
-
-        results = gmres_many(a, np.stack([b, 2.0 * b]), tol=0.0, max_iter=30)
-        for result in results:
-            assert result.iterations == 30
-            assert result.final_residual < 1e-12
-
 
 class TestCommonGuards:
     def test_zero_b_rejected(self):
@@ -213,3 +207,107 @@ class TestCommonGuards:
         result = jacobi(a, b, tol=1e-10)
         assert result.final_residual == result.residuals[-1]
         assert result.final_residual <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# the IterativeResult contract, over every iterative solver
+# ----------------------------------------------------------------------
+
+
+def _diagonal_fgmres(matrix, b, **kwargs):
+    """FGMRES with a fixed diagonal (Jacobi) preconditioner."""
+    diag = np.diag(np.asarray(matrix, dtype=float))
+    return fgmres(matrix, b, lambda r: r / diag, **kwargs)
+
+
+#: result ``method`` -> (solver, a matrix family it converges on, kwargs).
+ITERATIVE = {
+    "jacobi": (jacobi, diagonally_dominant_matrix, {"max_iter": 200}),
+    "gauss-seidel": (gauss_seidel, diagonally_dominant_matrix, {"max_iter": 200}),
+    "richardson": (richardson, wishart_matrix, {"max_iter": 400}),
+    "cg": (conjugate_gradient, wishart_matrix, {"max_iter": 60}),
+    "gmres": (gmres, diagonally_dominant_matrix, {"max_iter": 60, "restart": 5}),
+    "fgmres": (_diagonal_fgmres, diagonally_dominant_matrix, {"max_iter": 60, "restart": 5}),
+}
+
+
+def _iterative_system(method, n, seed):
+    solver, family, kwargs = ITERATIVE[method]
+    rng = np.random.default_rng(seed)
+    return solver, family(n, rng), random_vector(n, rng), rng, kwargs
+
+
+class TestIterativeContract:
+    """What every iterative solver promises through ``IterativeResult``.
+
+    The budget is always explicit, so a run that misses ``tol`` (``0.0``
+    is unreachable) must spend exactly that many products with ``A``.
+    """
+
+    @pytest.mark.parametrize("method", sorted(ITERATIVE))
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        tol=st.sampled_from([1e-6, 1e-10, 0.0]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_result_contract(self, method, n, seed, tol):
+        solver, a, b, _, kwargs = _iterative_system(method, n, seed)
+        result = solver(a, b, tol=tol, **kwargs)
+        assert result.method == method
+        assert result.x.shape == (n,) and result.x.dtype == np.float64
+        # the initial guess's residual, then one per product with A
+        assert len(result.residuals) == result.iterations + 1
+        assert result.converged == (result.final_residual <= tol)
+        if not result.converged:
+            assert result.iterations == kwargs["max_iter"]
+        true = np.linalg.norm(b - a @ result.x) / np.linalg.norm(b)
+        assert abs(result.final_residual - true) <= 1e-12
+
+    @pytest.mark.parametrize("method", sorted(ITERATIVE))
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        exponent=st.sampled_from([-30, 30]),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_scale_free(self, method, n, seed, exponent, warm):
+        """Scaling ``b`` (and ``x0``) by a power of two scales ``x`` by it
+        exactly and leaves the iteration count and the relative-residual
+        history untouched: the tolerance is relative, and no step of the
+        iteration depends on the magnitude of ``b``."""
+        solver, a, b, rng, kwargs = _iterative_system(method, n, seed)
+        x0 = 0.1 * random_vector(n, rng) if warm else None
+        scale = 2.0**exponent
+        base = solver(a, b, x0=x0, **kwargs)
+        scaled = solver(a, scale * b, x0=None if x0 is None else scale * x0, **kwargs)
+        assert np.array_equal(scaled.x, scale * base.x)
+        assert scaled.iterations == base.iterations
+        assert scaled.residuals == base.residuals
+        assert scaled.converged == base.converged
+
+    @pytest.mark.parametrize("method", sorted(ITERATIVE))
+    def test_inputs_not_mutated(self, method):
+        solver, a, b, rng, kwargs = _iterative_system(method, 8, seed=4)
+        x0 = 0.1 * random_vector(8, rng)
+        inputs = (a, b, x0)
+        copies = tuple(arr.copy() for arr in inputs)
+        result = solver(a, b, x0=x0, **kwargs)
+        for arr, copy in zip(inputs, copies):
+            assert np.array_equal(arr, copy)
+            assert not np.shares_memory(result.x, arr)
+
+    @pytest.mark.parametrize("method", sorted(ITERATIVE))
+    def test_malformed_input_rejected(self, method):
+        solver, a, b, _, kwargs = _iterative_system(method, 4, seed=0)
+        with pytest.raises(ValidationError):
+            solver(a, np.ones(5), **kwargs)  # b of the wrong length
+        with pytest.raises(ValidationError):
+            solver(a, b, x0=np.ones(3), **kwargs)  # x0 of the wrong length
+        with pytest.raises(ValidationError):
+            solver(a[:, :3], b, **kwargs)  # not square
+        with pytest.raises(ValidationError):
+            solver(a, np.full(4, np.nan), **kwargs)  # not finite
+        with pytest.raises(SolverError):
+            solver(a, np.zeros(4), **kwargs)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import netlist as oracle
 from repro.circuits.generators import build_inv_circuit, build_mvm_circuit
 from repro.circuits.mna import solve_dc
 from repro.crossbar.mapping import map_to_conductances
@@ -142,6 +145,7 @@ class TestBulkAssemblyEquivalence:
     @pytest.mark.parametrize("r_wire", [0.0, 1.0])
     @pytest.mark.parametrize("builder", [build_mvm_circuit, build_inv_circuit])
     def test_identical_netlists(self, builder, r_wire):
+        reference = getattr(oracle, builder.__name__)
         rng = np.random.default_rng(17)
         n = 9
         g_pos = rng.uniform(0.0, 1e-4, size=(n, n))
@@ -152,12 +156,48 @@ class TestBulkAssemblyEquivalence:
         offsets = rng.normal(0.0, 1e-3, size=n)
         bulk_c, bulk_out = builder(
             g_pos, g_neg, v_in, 1e-4,
-            r_wire=r_wire, opamp_gain=1e4, offsets=offsets, bulk=True,
+            r_wire=r_wire, opamp_gain=1e4, offsets=offsets,
         )
-        loop_c, loop_out = builder(
+        loop_c, loop_out = reference(
             g_pos, g_neg, v_in, 1e-4,
-            r_wire=r_wire, opamp_gain=1e4, offsets=offsets, bulk=False,
+            r_wire=r_wire, opamp_gain=1e4, offsets=offsets,
         )
         assert bulk_out == loop_out
         assert bulk_c.elements == loop_c.elements  # values, names, and order
+        assert bulk_c.nodes() == loop_c.nodes()
+
+    @pytest.mark.parametrize("builder", [build_mvm_circuit, build_inv_circuit])
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        r_wire=st.sampled_from([0.0, 0.5, 3.0]),
+        opamp_gain=st.sampled_from([None, 1e4]),
+        with_offsets=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_identical_netlists_property(
+        self, builder, rows, cols, r_wire, opamp_gain, with_offsets, seed
+    ):
+        """Every shape, wire and op-amp option, against the oracle: the
+        bulk builders reuse cached per-shape name templates, so shapes
+        seen in any order must still index their cells correctly."""
+        if builder is build_inv_circuit:
+            cols = rows  # the INV circuit needs a square array
+        reference = getattr(oracle, builder.__name__)
+        rng = np.random.default_rng(seed)
+        g_pos = rng.uniform(0.0, 1e-4, size=(rows, cols))
+        g_neg = rng.uniform(0.0, 1e-4, size=(rows, cols))
+        g_pos[g_pos < 3e-5] = 0.0
+        g_neg[g_neg < 3e-5] = 0.0
+        v_in = rng.uniform(-1.0, 1.0, size=cols if builder is build_mvm_circuit else rows)
+        kwargs = {
+            "r_wire": r_wire,
+            "opamp_gain": opamp_gain,
+            "offsets": rng.normal(0.0, 1e-3, size=rows) if with_offsets else None,
+        }
+        bulk_c, bulk_out = builder(g_pos, g_neg, v_in, 1e-4, **kwargs)
+        loop_c, loop_out = reference(g_pos, g_neg, v_in, 1e-4, **kwargs)
+        assert bulk_out == loop_out
+        assert bulk_c.elements == loop_c.elements
         assert bulk_c.nodes() == loop_c.nodes()

@@ -43,16 +43,9 @@ from repro.circuits.columnar import ColumnarCircuit
 from repro.circuits.generators import build_inv_circuit, build_mvm_circuit
 from repro.circuits.mna import assemble_mna, solve_dc
 from repro.circuits.netlist import Circuit
-from repro.core import digital
 from repro.core.batched import make_batched_runner
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.multistage import MultiStageSolver
-from repro.core.preconditioned import (
-    amc_block_preconditioner,
-    amc_preconditioner,
-    fgmres,
-    fgmres_many,
-)
 from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
     MAX_RANGING_ATTEMPTS,
@@ -88,7 +81,6 @@ from repro.devices.variations import (
     RelativeGaussianVariation,
 )
 from repro.errors import (
-    ConvergenceError,
     MappingError,
     PartitionError,
     SolverError,
@@ -581,167 +573,6 @@ class TestScalarVsMultiRHS:
         swapped = prep.solve_many(list(reversed(rhs)), np.random.default_rng(0))
         for a, b in zip(reversed(swapped), full):
             _results_exactly_equal(a, b)
-
-
-# ----------------------------------------------------------------------
-# multi-RHS digital solvers: block == scalar, bit for bit
-# ----------------------------------------------------------------------
-
-
-#: (scalar, block) pairs plus a matrix family each converges on.
-DIGITAL_PAIRS = {
-    "jacobi": (digital.jacobi, digital.jacobi_many, "dominant", {}),
-    "gauss_seidel": (digital.gauss_seidel, digital.gauss_seidel_many, "dominant", {}),
-    "richardson": (
-        digital.richardson,
-        digital.richardson_many,
-        "wishart",
-        {"max_iter": 400},
-    ),
-    "cg": (
-        digital.conjugate_gradient,
-        digital.conjugate_gradient_many,
-        "wishart",
-        {},
-    ),
-    "gmres": (digital.gmres, digital.gmres_many, "dominant", {"restart": 5}),
-}
-
-
-def _digital_system(method: str, n: int, seed):
-    rng = np.random.default_rng(seed)
-    family = DIGITAL_PAIRS[method][2]
-    return MATRIX_FAMILIES[family](n, rng), rng
-
-
-def _iter_results_equal(scalar, block):
-    assert np.array_equal(scalar.x, block.x)
-    assert scalar.iterations == block.iterations
-    assert scalar.residuals == block.residuals
-    assert scalar.converged == block.converged
-    assert scalar.method == block.method
-
-
-class TestDigitalManyShapeStability:
-    """Every ``*_many`` digital solver equals the scalar loop bitwise."""
-
-    @pytest.mark.parametrize("method", sorted(DIGITAL_PAIRS))
-    @given(n=st.integers(2, 12), batch=st.integers(1, 5), seed=st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_batch_matches_scalar_bitwise(self, method, n, batch, seed):
-        scalar_fn, many_fn, _, kwargs = DIGITAL_PAIRS[method]
-        matrix, rng = _digital_system(method, n, seed)
-        bs = np.stack([random_vector(n, rng) for _ in range(batch)])
-        block = many_fn(matrix, bs, **kwargs)
-        for j in range(batch):
-            _iter_results_equal(scalar_fn(matrix, bs[j], **kwargs), block[j])
-
-    @pytest.mark.parametrize("method", sorted(DIGITAL_PAIRS))
-    @given(n=st.integers(2, 10), seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_batch_composition_invariance(self, method, n, seed):
-        _, many_fn, _, kwargs = DIGITAL_PAIRS[method]
-        matrix, rng = _digital_system(method, n, seed)
-        bs = np.stack([random_vector(n, rng) for _ in range(4)])
-        full = many_fn(matrix, bs, **kwargs)
-        sub = many_fn(matrix, bs[[2, 0]], **kwargs)
-        _iter_results_equal(full[2], sub[0])
-        _iter_results_equal(full[0], sub[1])
-
-    @pytest.mark.parametrize("method", sorted(DIGITAL_PAIRS))
-    @given(n=st.integers(2, 10), batch=st.integers(1, 4), seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_warm_start_block_handling(self, method, n, batch, seed):
-        """A ``(batch, n)`` x0 block equals per-column scalar warm starts;
-        a single ``(n,)`` x0 broadcasts to every column."""
-        scalar_fn, many_fn, _, kwargs = DIGITAL_PAIRS[method]
-        matrix, rng = _digital_system(method, n, seed)
-        bs = np.stack([random_vector(n, rng) for _ in range(batch)])
-        x0_block = 0.1 * np.stack([random_vector(n, rng) for _ in range(batch)])
-        block = many_fn(matrix, bs, x0=x0_block, **kwargs)
-        for j in range(batch):
-            _iter_results_equal(
-                scalar_fn(matrix, bs[j], x0=x0_block[j], **kwargs), block[j]
-            )
-        shared = x0_block[0]
-        broadcast = many_fn(matrix, bs, x0=shared, **kwargs)
-        for j in range(batch):
-            _iter_results_equal(
-                scalar_fn(matrix, bs[j], x0=shared, **kwargs), broadcast[j]
-            )
-
-    def test_block_validation(self):
-        matrix = diagonally_dominant_matrix(4, np.random.default_rng(0))
-        bs = np.ones((2, 4))
-        with pytest.raises(ValidationError):
-            digital.jacobi_many(matrix, np.ones(4))  # 1-D is not a block
-        with pytest.raises(ValidationError):
-            digital.jacobi_many(matrix, np.ones((0, 4)))
-        with pytest.raises(ValidationError):
-            digital.jacobi_many(matrix, np.ones((2, 5)))
-        with pytest.raises(ValidationError):
-            digital.jacobi_many(matrix, bs, x0=np.ones((3, 4)))
-        with pytest.raises(SolverError):
-            digital.jacobi_many(matrix, np.vstack([np.ones(4), np.zeros(4)]))
-
-    def test_converged_columns_stop_iterating(self):
-        """A column seeded with the exact solution converges immediately
-        while its neighbours keep iterating (the mask at work)."""
-        rng = np.random.default_rng(3)
-        matrix = MATRIX_FAMILIES["wishart"](8, rng)
-        bs = np.stack([random_vector(8, rng) for _ in range(3)])
-        x0 = np.zeros_like(bs)
-        x0[1] = np.linalg.solve(matrix, bs[1])
-        results = digital.conjugate_gradient_many(matrix, bs, x0=x0, tol=1e-9)
-        assert results[1].iterations == 0
-        assert results[0].iterations > 0 and results[2].iterations > 0
-
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_divergent_column_raises_like_sequential_loop(self):
-        # Strongly non-dominant: Jacobi blows up -> ConvergenceError on
-        # non-finite, or converged=False within budget (same contract
-        # as the scalar solver, batch-wide).
-        matrix = np.array([[1.0, 10.0], [10.0, 1.0]])
-        bs = np.ones((2, 2))
-        try:
-            results = digital.jacobi_many(matrix, bs, max_iter=500)
-            assert not results[0].converged
-        except ConvergenceError:
-            pass
-
-
-class TestFgmresManyEquivalence:
-    """Lockstep FGMRES == a sequential loop of scalar FGMRES calls."""
-
-    @given(
-        n=st.integers(6, 14),
-        batch=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_block_amc_preconditioner_bit_identical(self, n, batch, seed):
-        config = CONFIGS["variation"]
-        rng = np.random.default_rng(seed)
-        matrix = wishart_matrix(n, rng)
-        bs = np.stack([random_vector(n, rng) for _ in range(batch)])
-        prepared = BlockAMCSolver(config).prepare(matrix, rng=5)
-        sequential = [
-            fgmres(matrix, bs[j], amc_preconditioner(prepared, rng=0),
-                   tol=1e-11, restart=6)
-            for j in range(batch)
-        ]
-        block = fgmres_many(
-            matrix, bs, amc_block_preconditioner(prepared, rng=0),
-            tol=1e-11, restart=6,
-        )
-        for s, m in zip(sequential, block):
-            _iter_results_equal(s, m)
-
-    def test_block_preconditioner_shape_enforced(self):
-        matrix = wishart_matrix(6, rng=0)
-        bs = np.stack([random_vector(6, rng=1)])
-        with pytest.raises(SolverError, match="block preconditioner"):
-            fgmres_many(matrix, bs, lambda rows: rows[:, :3])
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every optimized path in the engine keeps its pre-optimization reference
 implementation alive; these tests pin the new paths to those references:
 
-- vectorized vs. cell-by-cell ladder assembly (exact matrix equality);
+- vectorized vs. cell-by-cell ladder assembly (exact matrix equality;
+  :mod:`oracles.ladder`);
 - Schur / multi-RHS-LU exact extraction vs. the column-loop reference;
 - the LRU :class:`ParasiticExtractor` vs. fresh extraction (Hypothesis);
 - ``solve_dc_many`` / ``AssembledMNA`` vs. repeated ``solve_dc``;
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ladder
 from oracles.scalar import oracle_solve
 from repro.amc.config import HardwareConfig
 from repro.analysis.accuracy import run_trials, run_trials_batched
@@ -34,7 +36,6 @@ from repro.core.original import OriginalAMCSolver
 from repro.crossbar.parasitics import (
     ParasiticExtractor,
     _ladder_system,
-    _ladder_system_loop,
     exact_effective_matrix,
 )
 from repro.devices.variations import (
@@ -61,7 +62,7 @@ class TestLadderAssembly:
     def test_vectorized_assembly_matches_loop_exactly(self, shape):
         g = _random_g(shape, seed=1)
         vec = _ladder_system(g, 1.0)[0].toarray()
-        loop = _ladder_system_loop(g, 1.0)[0].toarray()
+        loop = ladder.ladder_system(g, 1.0).toarray()
         assert np.array_equal(vec, loop)
 
     @given(
@@ -74,7 +75,7 @@ class TestLadderAssembly:
     def test_assembly_equality_property(self, rows, cols, r_wire, seed):
         g = _random_g((rows, cols), seed=seed)
         vec = _ladder_system(g, r_wire)[0].toarray()
-        loop = _ladder_system_loop(g, r_wire)[0].toarray()
+        loop = ladder.ladder_system(g, r_wire).toarray()
         assert np.array_equal(vec, loop)
 
 
@@ -83,20 +84,21 @@ class TestExactMethods:
     @pytest.mark.parametrize("method", ["auto", "schur", "lu"])
     def test_methods_match_loop_reference(self, shape, method):
         g = _random_g(shape, seed=3)
-        reference = exact_effective_matrix(g, 1.0, method="loop")
+        reference = ladder.exact_effective_matrix(g, 1.0)
         fast = exact_effective_matrix(g, 1.0, method=method)
         assert np.max(np.abs(fast - reference)) < 1e-10
 
     def test_r_wire_variants(self):
         g = _random_g((9, 6), seed=4)
         for r_wire in (0.25, 1.0, 17.0):
-            reference = exact_effective_matrix(g, r_wire, method="loop")
+            reference = ladder.exact_effective_matrix(g, r_wire)
             fast = exact_effective_matrix(g, r_wire)
             assert np.max(np.abs(fast - reference)) < 1e-10
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            exact_effective_matrix(np.ones((2, 2)), 1.0, method="magic")
+        for method in ("magic", "loop"):
+            with pytest.raises(ValueError, match="method"):
+                exact_effective_matrix(np.ones((2, 2)), 1.0, method=method)
 
     def test_zero_wire_returns_copy(self):
         g = _random_g((3, 3), seed=5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amc.config import HardwareConfig
 from repro.core.blockamc import BlockAMCSolver
@@ -94,6 +96,22 @@ class TestFGMRES:
         assert result.converged
         assert result.iterations == 0
 
+    @pytest.mark.parametrize(
+        "output",
+        [
+            pytest.param(lambda r: r[:3], id="short"),
+            pytest.param(lambda r: r[:1], id="length-one"),
+            pytest.param(lambda r: 1.0, id="scalar"),
+            pytest.param(lambda r: r[:, None], id="column"),
+        ],
+    )
+    def test_misshapen_preconditioner_output_rejected(self, system, output):
+        """Only one ``(n,)`` vector per call is accepted; a scalar or a
+        length-1 output would otherwise broadcast into the column."""
+        a, b = system
+        with pytest.raises(SolverError, match=r"preconditioner must return shape \(24,\)"):
+            fgmres(a, b, output, tol=1e-10)
+
 
 class TestAMCPreconditioner:
     def test_end_to_end_with_analog_hardware(self):
@@ -117,6 +135,25 @@ class TestAMCPreconditioner:
         z = preconditioner(b)
         assert z.shape == b.shape
 
+    @given(n=st.integers(6, 14), seed=st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_seeded_noise_reproduces_bit_for_bit(self, n, seed):
+        """The same prepared solver and noise seed give the same solve,
+        whether the seed arrives as an int or as a Generator."""
+        rng = np.random.default_rng(seed)
+        a = wishart_matrix(n, rng)
+        b = random_vector(n, rng)
+        prepared = BlockAMCSolver(HardwareConfig.paper_variation()).prepare(a, rng=5)
+        runs = [
+            fgmres(a, b, amc_preconditioner(prepared, rng=noise), tol=1e-11, restart=6)
+            for noise in (0, 0, np.random.default_rng(0))
+        ]
+        for again in runs[1:]:
+            assert np.array_equal(again.x, runs[0].x)
+            assert again.iterations == runs[0].iterations
+            assert again.residuals == runs[0].residuals
+        assert runs[0].converged
+
 
 class TestFgmresHappyBreakdown:
     """Regression: a breakdown column must end its cycle (like gmres).
@@ -139,8 +176,6 @@ class TestFgmresHappyBreakdown:
                     "preconditioner received an all-zero vector "
                     "(zero Krylov column leaked past the breakdown)"
                 )
-            if r.ndim == 2:  # block form (fgmres_many)
-                return np.tile(direction, (r.shape[0], 1))
             return direction.copy()
 
         return precondition
@@ -153,29 +188,16 @@ class TestFgmresHappyBreakdown:
         assert not result.converged
         assert result.iterations == 12  # budget honoured, no crash
 
-    def test_block_breakdown_never_reaches_preconditioner(self):
-        from repro.core.preconditioned import fgmres_many
-
-        rng = np.random.default_rng(2)
-        a = wishart_matrix(8, rng)
-        bs = np.stack([random_vector(8, rng) for _ in range(3)])
-        results = fgmres_many(a, bs, self._degenerate(8), tol=0.0, max_iter=12)
-        for result in results:
-            assert not result.converged
-            assert result.iterations == 12
-
-    def test_analog_block_preconditioner_survives_breakdown(self):
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_analog_preconditioner_survives_breakdown(self, column):
         """The original crash vector: an analog preconditioner rejects
         all-zero inputs; post-fix the zero column never reaches it."""
-        from repro.core.preconditioned import amc_block_preconditioner, fgmres_many
-
         rng = np.random.default_rng(3)
         a = wishart_matrix(8, rng)
-        bs = np.stack([random_vector(8, rng) for _ in range(2)])
+        bs = [random_vector(8, rng) for _ in range(2)]
         prepared = BlockAMCSolver(HardwareConfig.paper_variation()).prepare(a, rng=5)
-        results = fgmres_many(
-            a, bs, amc_block_preconditioner(prepared, rng=0), tol=0.0, max_iter=10
+        result = fgmres(
+            a, bs[column], amc_preconditioner(prepared, rng=0), tol=0.0, max_iter=10
         )
-        for result in results:
-            assert result.iterations == 10
-            assert result.final_residual < 1e-9  # solution exact to rounding
+        assert result.iterations == 10
+        assert result.final_residual < 1e-9  # solution exact to rounding

@@ -48,22 +48,6 @@ class TestWriteReport:
         assert "# BlockAMC reproduction report" in path.read_text()
 
 
-class TestDeprecatedReportShim:
-    def test_shim_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.analysis.report", None)
-        with pytest.warns(DeprecationWarning, match="repro.analysis.reporting"):
-            shim = importlib.import_module("repro.analysis.report")
-        assert shim.generate_report is generate_report
-        assert shim.write_report is write_report
-        from repro.analysis.reporting import format_table, markdown_table
-
-        assert shim.format_table is format_table
-        assert shim.markdown_table is markdown_table
-
-
 class TestCliReport:
     def test_cli_command(self, tmp_path, capsys):
         from repro.cli import main

@@ -141,12 +141,17 @@ def make_tier(request):
 
 
 def _timed_step(tier, arrival=None) -> tuple[int, float]:
-    """Step the shard, putting ``arrival`` on its queue ARRIVAL_S in."""
+    """Step the shard, putting ``arrival`` on its queue ARRIVAL_S in.
+
+    The clock starts before the timer does, so a straggler can never
+    land less than ARRIVAL_S after ``start``, however late the step
+    itself begins.
+    """
+    start = time.perf_counter()
     timer = None
     if arrival is not None:
         timer = threading.Timer(ARRIVAL_S, tier.put, (arrival,))
         timer.start()
-    start = time.perf_counter()
     try:
         answered = tier.step()
     finally:
