@@ -181,14 +181,16 @@ class HardwareConfig:
     algebraic model (slow; for validation)."""
     backend: str = "numpy"
     """Array backend / precision tier the analog kernel runs at (a tier
-    name or alias of :mod:`repro.core.backend`; ``"numpy"`` is the
-    byte-identical float64 default, ``"numpy-f32"`` the float32 tier).
-    Digital glue — references, Schur preprocessing, MNA routing — always
-    runs float64 regardless of tier."""
+    name or alias of :mod:`repro.core.backend`, stored as the tier's
+    name; ``"numpy"`` is the byte-identical float64 default,
+    ``"numpy-f32"`` the float32 tier). Digital glue — references, Schur
+    preprocessing, MNA routing — always runs float64 regardless of tier."""
 
     def __post_init__(self):
         check_positive(self.g_unit, "g_unit")
-        get_backend(self.backend)  # fail fast on unknown names
+        # One spelling per tier (unknown names fail fast), so an alias
+        # compares, keys and caches as its tier.
+        object.__setattr__(self, "backend", get_backend(self.backend).name)
 
     def resolve_backend(self) -> ArrayBackend:
         """The :class:`~repro.core.backend.ArrayBackend` instance for

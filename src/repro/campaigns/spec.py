@@ -187,10 +187,11 @@ class CampaignSpec:
         variant with no overrides.
     backend:
         Array backend / precision tier applied to every resolved
-        hardware config (see :mod:`repro.core.backend`). The default
-        ``"numpy"`` (float64) is omitted from :meth:`to_dict`, so
-        pre-backend campaign digests — and their resumable stores —
-        are unchanged.
+        hardware config (see :mod:`repro.core.backend`). An alias is
+        stored as its tier's name, so every spelling of a tier shares
+        one digest. The default ``"numpy"`` (float64) is omitted from
+        :meth:`to_dict`, so pre-backend campaign digests — and their
+        resumable stores — are unchanged.
     """
 
     name: str
@@ -231,7 +232,7 @@ class CampaignSpec:
         if self.trials < 1:
             raise CampaignError(f"trials must be >= 1, got {self.trials}")
         try:
-            get_backend(self.backend)
+            tier = get_backend(self.backend).name
         except BackendError as exc:
             raise CampaignError(str(exc)) from None
         variants = tuple(
@@ -241,6 +242,7 @@ class CampaignSpec:
         labels = [v.label for v in variants]
         if len(set(labels)) != len(labels):
             raise CampaignError(f"variant labels must be unique, got {labels}")
+        object.__setattr__(self, "backend", tier)
         object.__setattr__(self, "variants", variants)
         object.__setattr__(self, "solvers", tuple(self.solvers))
         object.__setattr__(self, "families", tuple(self.families))

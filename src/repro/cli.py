@@ -27,6 +27,7 @@ from repro.analysis.accuracy import accuracy_sweep, run_trials_batched
 from repro.analysis.costmodel import ARCHITECTURES, savings_vs_original, solver_cost_breakdown
 from repro.analysis.export import records_to_csv, sweep_to_csv
 from repro.analysis.reporting import format_table
+from repro.core.backend import BACKEND_NAMES
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.feasibility import assess_feasibility
 from repro.core.multistage import MultiStageSolver
@@ -612,9 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--hardware", choices=sorted(HARDWARE_FACTORIES), default="variation"
         )
         parser.add_argument(
-            "--backend", type=str, default=None,
+            "--backend", choices=BACKEND_NAMES, default=None,
             help="array backend / precision tier for the default hardware "
-            "(numpy or numpy-f32; default: the hardware's own tier)",
+            "(numpy or numpy-f32, or an alias; default: the hardware's own tier)",
         )
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument(
@@ -729,10 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="paper-scale grid (default is the quick CI grid)",
         )
         parser.add_argument(
-            "--backend", type=str, default=None,
+            "--backend", choices=BACKEND_NAMES, default=None,
             help="array backend / precision tier for the whole grid "
-            "(numpy or numpy-f32); changes the campaign digest, so "
-            "each tier gets its own store",
+            "(numpy or numpy-f32, or an alias); changes the campaign "
+            "digest, so each tier gets its own store",
         )
 
     clist = campaign_sub.add_parser("list", help="list registered campaigns")

@@ -41,6 +41,7 @@ from repro.errors import BackendError
 
 __all__ = [
     "ArrayBackend",
+    "BACKEND_NAMES",
     "DEFAULT_BACKEND",
     "F32_TOLERANCE",
     "ToleranceContract",
@@ -185,6 +186,9 @@ _BACKENDS: dict[str, ArrayBackend] = {
     **dict.fromkeys(("numpy-f32", "f32", "float32"), _FLOAT32_TIER),
 }
 
+#: Every accepted tier name and alias, sorted (the CLI's ``--backend`` choices).
+BACKEND_NAMES = tuple(sorted(_BACKENDS))
+
 
 def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
     """Resolve a backend by name/alias (``None`` -> the default tier).
@@ -198,6 +202,6 @@ def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
         return name
     backend = _BACKENDS.get(name)
     if backend is None:
-        known = ", ".join(sorted(_BACKENDS))
+        known = ", ".join(BACKEND_NAMES)
         raise BackendError(f"unknown array backend {name!r} (known: {known})")
     return backend

@@ -50,7 +50,6 @@ from repro.core.common import (
     mvm_raw,
     solve_slices,
 )
-from repro.core.multistage import MultiStageSolver
 from repro.core.partition import PreparedBlocks
 from repro.crossbar.parasitics import (
     exact_effective_matrix_batch,
@@ -382,12 +381,10 @@ class _TrialsRunner:
     def _references(self, matrices: np.ndarray, bs: np.ndarray) -> np.ndarray:
         """Each trial's digital reference, bit-identical to its scalar solve's.
 
-        The multi-stage solver's reference is NumPy's ``solve``, one
-        vector at a time; the others go through the kernel's
-        :class:`~repro.core.common.FactoredSystem`.
+        Every solver kind's reference is one ``getrf`` of the trial's
+        matrix and ``getrs`` on its column, as a prepared solver's
+        cached factorization gives (:attr:`~repro.core.blockamc.PreparedTree._system`).
         """
-        if isinstance(self.solver, MultiStageSolver):
-            return np.stack([np.linalg.solve(a, b) for a, b in zip(matrices, bs)])
         return solve_slices(matrices, bs, what="system matrix")
 
 

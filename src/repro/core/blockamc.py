@@ -22,6 +22,7 @@ solver tree, many right-hand sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from repro.core.common import (
     inv_system,
     mvm_raw,
     saturate,
-    solve_columns,
 )
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
 from repro.core.solution import LeanSolveResult, SolveResult
@@ -491,7 +491,9 @@ class PreparedTree:
     :class:`Programming` — a direct-INV node (original AMC), a macro
     node (one-stage BlockAMC) or the multi-stage recursion — and every
     solve runs through it. Subclasses differ only in result assembly:
-    the reported ``solver`` name and :meth:`_metadata`.
+    the reported ``solver`` name and :meth:`_metadata`. Every solver
+    kind's digital references come from one LU of ``matrix``, made at
+    the first solve and kept (:attr:`_system`).
     """
 
     matrix: np.ndarray
@@ -560,7 +562,7 @@ class PreparedTree:
         batch = bs.shape[0]
         tally = SumTally(batch) if lean else OpTally()
         x = self.root.solve_many(bs, tally, rngs)
-        references = self._references(bs)
+        references = self._system.solve(bs)
         if lean:
             return tuple(
                 LeanSolveResult(
@@ -585,9 +587,15 @@ class PreparedTree:
             for c in range(batch)
         )
 
-    def _references(self, bs: np.ndarray) -> np.ndarray:
-        """Exact digital solutions; always float64, one column at a time."""
-        return solve_columns(self.matrix, bs, what="system matrix")
+    @cached_property
+    def _system(self) -> FactoredSystem:
+        """The system matrix's one ``getrf``, made at first use and kept.
+
+        Every result's exact float64 reference is per-column ``getrs``
+        on it. A served entry's first use is its warm-up solve, so no
+        batch pays for the factorization.
+        """
+        return FactoredSystem(self.matrix, what="system matrix")
 
     def _lean_metadata(self, tally, c: int) -> dict:
         """A lean result's metadata: the root's accepted input scale."""

@@ -99,6 +99,8 @@ def jacobi(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=None) -
         raise SolverError("Jacobi requires a zero-free diagonal")
     off = matrix - np.diag(diag)
     residuals = [float(np.linalg.norm(b - matrix @ x)) / b_norm]
+    if residuals[0] <= tol:
+        return IterativeResult(x, 0, tuple(residuals), True, "jacobi")
     for iteration in range(1, max_iter + 1):
         x = (b - off @ x) / diag
         res = float(np.linalg.norm(b - matrix @ x)) / b_norm
@@ -118,6 +120,8 @@ def gauss_seidel(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=N
     if np.any(diag == 0.0):
         raise SolverError("Gauss-Seidel requires a zero-free diagonal")
     residuals = [float(np.linalg.norm(b - matrix @ x)) / b_norm]
+    if residuals[0] <= tol:
+        return IterativeResult(x, 0, tuple(residuals), True, "gauss-seidel")
     for iteration in range(1, max_iter + 1):
         for i in range(n):
             sigma = matrix[i, :] @ x - matrix[i, i] * x[i]
@@ -145,6 +149,8 @@ def richardson(matrix, b, x0=None, omega=None, tol=DEFAULT_TOL, max_iter=10_000,
             raise SolverError("automatic omega requires a positive definite symmetric part")
         omega = 2.0 / (lo + hi)
     residuals = [float(np.linalg.norm(b - matrix @ x)) / b_norm]
+    if residuals[0] <= tol:
+        return IterativeResult(x, 0, tuple(residuals), True, "richardson")
     for iteration in range(1, max_iter + 1):
         r = b - matrix @ x
         x = x + omega * r

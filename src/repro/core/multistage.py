@@ -318,11 +318,6 @@ class PreparedMultiStage(PreparedTree):
     def solver(self) -> str:
         return f"blockamc-{self.stages}stage"
 
-    def _references(self, bs: np.ndarray) -> np.ndarray:
-        # Per-column exact references through np.linalg.solve, one
-        # vector at a time (the reference's bits never see the batch).
-        return np.stack([np.linalg.solve(self.matrix, b) for b in bs])
-
     def _lean_metadata(self, tally, c: int) -> dict:
         return {}  # the tree ranges per node: no one input scale
 

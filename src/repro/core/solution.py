@@ -28,7 +28,10 @@ class SolveResult:
     x:
         The solver's solution.
     reference:
-        Exact digital solution ``numpy.linalg.solve(A, b)``.
+        Exact digital solution of ``A x = b``. The analog solvers take
+        it from one ``getrf`` of ``A``, made once per prepared solver
+        and kept, and one ``getrs`` per right-hand side
+        (:class:`~repro.core.common.FactoredSystem`).
     solver:
         Human-readable solver name.
     operations:

@@ -262,7 +262,7 @@ def solve_multistage(prepared: PreparedMultiStage, b, rng=None) -> SolveResult:
     prepared.root.count_resources(counts)
     return SolveResult(
         x=x,
-        reference=np.linalg.solve(prepared.matrix, b),
+        reference=solve_columns(prepared.matrix, b, what="system matrix"),
         solver=f"blockamc-{prepared.stages}stage",
         operations=tuple(tally.operations),
         metadata={

@@ -53,6 +53,7 @@ from repro.campaigns import (
     unit_seed_sequence,
 )
 from repro.campaigns.registry import QUICK_SIZES, QUICK_TRIALS
+from repro.core.backend import BACKEND_NAMES, get_backend
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.original import OriginalAMCSolver
 from repro.devices.variations import GaussianVariation, RelativeGaussianVariation
@@ -100,6 +101,23 @@ class TestSpec:
             {"variants": (HardwareVariant("x", {"opamp.open_loop_gain": 1e5}),)},
         ):
             assert dataclasses.replace(TINY, **change).digest() != base
+
+    #: ``TINY``'s digest per tier, as committed before aliases were
+    #: folded into their tier's name.
+    TIER_DIGESTS = {
+        "numpy": "263d10cd338c44004369a1ae7f000cc3f7b0d835ad4b089a00021cdb9123eb2d",
+        "numpy-f32": "59ab5d2ab69beecd6efac6d1d6007502abf87d5337964727201a15a4f38f1f12",
+    }
+
+    def test_every_tier_spelling_shares_one_digest(self):
+        import dataclasses
+
+        assert TINY.digest() == self.TIER_DIGESTS["numpy"]
+        for alias in BACKEND_NAMES:
+            tier = get_backend(alias).name
+            spec = dataclasses.replace(TINY, backend=alias)
+            assert spec.backend == tier
+            assert spec.digest() == self.TIER_DIGESTS[tier]
 
     def test_expand_is_stable_and_content_addressed(self):
         units_a = expand(TINY)

@@ -16,6 +16,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99-nope"])
 
+    @pytest.mark.parametrize(
+        "command", [["serve"], ["campaign", "run", "ablation-variation"]]
+    )
+    def test_unknown_backend_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--backend", "cuda"])
+        assert info.value.code == 2
+        assert "invalid choice: 'cuda'" in capsys.readouterr().err
+        assert build_parser().parse_args([*command, "--backend", "f32"]).backend == "f32"
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -1,7 +1,9 @@
 """Tests for the hardware configuration bundles."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.amc.config import (
@@ -10,9 +12,12 @@ from repro.amc.config import (
     OpAmpConfig,
     SampleHoldConfig,
 )
+from repro.core.backend import BACKEND_NAMES, get_backend
 from repro.crossbar.parasitics import ParasiticConfig
 from repro.devices.variations import NoVariation, RelativeGaussianVariation
 from repro.errors import ValidationError
+from repro.serve.requests import SolveRequest
+from repro.serve.service import ServiceConfig, resolve_request
 
 
 class TestOpAmpConfig:
@@ -176,3 +181,27 @@ class TestCacheKey:
         assert len(key) == 64
         int(key, 16)
         assert key == HardwareConfig.ideal().cache_key()
+
+    #: ``paper_variation()``'s key per tier, as committed before aliases
+    #: were folded into their tier's name.
+    TIER_KEYS = {
+        "numpy": "0f1d7567b7ec4036e748c61d0547154b5a9a518d151fe755af93de8e8aeb2b31",
+        "numpy-f32": "c256a0e96648951a17c2e5ba3836f228aa84328193d9ec8d3ff1c45344a45e2b",
+    }
+
+    def test_default_key_is_pinned(self):
+        assert HardwareConfig.paper_variation().cache_key() == self.TIER_KEYS["numpy"]
+
+    @pytest.mark.parametrize("alias", BACKEND_NAMES)
+    def test_every_alias_keys_as_its_tier(self, alias):
+        """An alias programs, warms and factors the same cache entry as its tier."""
+        tier = get_backend(alias).name
+        base = HardwareConfig.paper_variation()
+        config = base.with_(backend=alias)
+        assert config.backend == tier
+        assert config == base.with_(backend=tier)
+        assert config.cache_key() == self.TIER_KEYS[tier]
+        request = SolveRequest(np.eye(4), np.ones(4), hardware=config)
+        canonical = dataclasses.replace(request, hardware=base.with_(backend=tier))
+        service = ServiceConfig()
+        assert resolve_request(request, service)[0] == resolve_request(canonical, service)[0]

@@ -141,11 +141,6 @@ class TestKrylov:
         warm = conjugate_gradient(a, b, x0=x * (1.0 + 1e-4), tol=1e-10)
         assert warm.iterations < cold.iterations
 
-    def test_exact_seed_converges_immediately(self, spd_system):
-        a, b, x = spd_system
-        result = conjugate_gradient(a, b, x0=x, tol=1e-9)
-        assert result.iterations == 0
-
 
 class TestGmresHappyBreakdown:
     """Regression: Arnoldi happy breakdown must terminate the cycle.
@@ -286,6 +281,16 @@ class TestIterativeContract:
         assert scaled.iterations == base.iterations
         assert scaled.residuals == base.residuals
         assert scaled.converged == base.converged
+
+    @pytest.mark.parametrize("method", sorted(ITERATIVE))
+    def test_exact_seed_converges_immediately(self, method):
+        """A seed that already meets ``tol`` is returned after no product with ``A``."""
+        solver, a, b, _, kwargs = _iterative_system(method, 8, seed=2)
+        x0 = np.linalg.solve(a, b)
+        result = solver(a, b, x0=x0, tol=1e-9, **kwargs)
+        assert result.iterations == 0
+        assert result.converged and len(result.residuals) == 1
+        assert np.array_equal(result.x, x0) and not np.shares_memory(result.x, x0)
 
     @pytest.mark.parametrize("method", sorted(ITERATIVE))
     def test_inputs_not_mutated(self, method):

@@ -235,3 +235,34 @@ class TestWarmUp:
         key = PreparedKey("digest", "config", "blockamc-2stage", prep_seed=1)
         entry = prepare_entry(key, wishart_matrix(8, rng=1), CONFIGS["mna"])
         assert entry.coalescible
+
+
+class TestOneSystemFactorization:
+    """Every solver kind's references are ``getrs`` on one kept LU of ``A``."""
+
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    def test_batches_reuse_the_prepared_lu(self, monkeypatch, stages):
+        # NumPy's gesv and SciPy's getrs differ in low bits on these columns.
+        matrix = wishart_matrix(16, rng=6)
+        prepared = _solver(_VARIATION, stages).prepare(matrix, rng=5)
+        prepared.solve(np.ones(16), np.random.default_rng(0))
+        rhs = [random_vector(16, rng=30 + i) for i in range(6)]
+        batches = [rhs[:1], rhs[1:4][::-1], rhs]
+
+        made = []
+        init = common.FactoredSystem.__init__
+
+        def recording(self, matrix, what="effective block matrix"):
+            made.append(what)
+            init(self, matrix, what)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(common.FactoredSystem, "__init__", recording)
+            results = [
+                prepared.solve_many(batch, np.random.default_rng(1)) for batch in batches
+            ]
+        assert "system matrix" not in made
+        for batch, rows in zip(batches, results):
+            for b, result in zip(batch, rows):
+                expected = common.solve_columns(matrix, b, what="system matrix")
+                assert np.array_equal(result.reference, expected)

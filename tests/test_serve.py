@@ -15,6 +15,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -532,12 +533,30 @@ class TestMetricsRecorderConcurrency:
 
     def test_snapshots_during_storm_stay_consistent(self):
         recorder = MetricsRecorder()
-        stop = threading.Event()
+        total = self.THREADS * self.PER_THREAD
+        stop, mid_storm, seen = threading.Event(), threading.Event(), threading.Event()
         snapshots = []
+        submit, calls = recorder.record_submit, itertools.count(1)
+
+        def record_submit():
+            # Half-way through, one submitter waits for a snapshot, so at
+            # least one is taken while the storm runs.
+            if next(calls) == total // 2:
+                mid_storm.set()
+                assert seen.wait(10), "the observer took no snapshot"
+            submit()
+
+        recorder.record_submit = record_submit
 
         def observe():
+            # Paced: an unpaced loop holds the recorder's lock so often
+            # that the storm crawls on a loaded machine.
             while not stop.is_set():
+                during = mid_storm.is_set()
                 snapshots.append(recorder.snapshot(CacheStats()))
+                if during:
+                    seen.set()
+                stop.wait(0.001)
 
         observer = threading.Thread(target=observe)
         observer.start()
@@ -550,8 +569,9 @@ class TestMetricsRecorderConcurrency:
                 )
         finally:
             stop.set()
-            observer.join()
-        assert snapshots
+            observer.join(10)
+        assert not observer.is_alive()
+        assert any(0 < m.requests_submitted < total for m in snapshots)
         for metrics in snapshots:
             # Each thread submits before it resolves, so no snapshot may
             # ever show more resolved requests than submitted ones.
